@@ -9,6 +9,7 @@ package arch
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"zac/internal/geom"
 )
@@ -162,6 +163,14 @@ type OperationFidelities struct {
 }
 
 // Architecture is a complete zoned architecture (paper Fig. 3).
+//
+// Do not mutate an architecture after its first use. The first compile, or
+// the first call of an ordinal or topology method (TrapOrdinal, SiteAt,
+// StorageTrapsNearestFirst, ...), memoizes the dense topology tables on the
+// value, and caches key compiled results by its Fingerprint; neither sees a
+// later change. Build a new value instead. The zero value and struct
+// literals are ready to use, and copies made before first use (as WithAODs
+// makes) are independent.
 type Architecture struct {
 	Name          string
 	AODs          []AODArray
@@ -173,6 +182,9 @@ type Architecture struct {
 	T2            float64 // coherence time, µs (1.5s = 1.5e6µs for atoms)
 	ZoneSep       float64 // minimum separation between zones (dsep = 10µm)
 	MovementAccel float64 // µm/µs²; 0 means geom.Accel
+
+	// topology holds the *topology memo (topo.go); empty until first use.
+	topology atomic.Value
 }
 
 // MoveTime returns the movement duration for distance d µm under the

@@ -1,6 +1,10 @@
 package arch
 
-import "zac/internal/geom"
+import (
+	"sync/atomic"
+
+	"zac/internal/geom"
+)
 
 // Physical constants of the reference architecture (paper Fig. 2).
 const (
@@ -99,6 +103,7 @@ func ReferenceTriple() *Architecture {
 // multi-AOD study, Fig. 14).
 func WithAODs(a *Architecture, n int) *Architecture {
 	out := *a
+	out.topology = atomic.Value{} // the copy builds, or shares, its own
 	out.AODs = make([]AODArray, n)
 	for i := 0; i < n; i++ {
 		out.AODs[i] = AODArray{ID: i, MinSep: 2, MaxRows: 100, MaxCols: 100}

@@ -13,10 +13,19 @@ import (
 // the fields the artifact format does not serialize (ZoneSep,
 // MovementAccel).
 func (a *Architecture) Fingerprint() string {
+	fp, _ := a.fingerprint()
+	return fp
+}
+
+// fingerprint is Fingerprint plus the JSON encoding's error. On an error
+// (a NaN or infinite field) the digest covers only the unserialized fields,
+// so it does not identify the architecture.
+func (a *Architecture) fingerprint() (string, error) {
 	h := fnv.New64a()
-	if data, err := json.Marshal(a); err == nil {
+	data, err := json.Marshal(a)
+	if err == nil {
 		h.Write(data)
 	}
 	fmt.Fprintf(h, "|sep=%g|accel=%g", a.ZoneSep, a.MovementAccel)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", h.Sum64()), err
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"zac/internal/geom"
 )
@@ -16,9 +15,11 @@ import (
 // tables instead of recomputing geometry (or hashing TrapRef/SiteRef map
 // keys) on every call.
 //
-// Topologies are cached per *Architecture; an architecture must not be
-// mutated after its first compilation (the same contract Fingerprint-keyed
-// caching already relies on).
+// An architecture memoizes its topology on first use (Architecture.topology),
+// taking it from a bounded table shared by every architecture with the same
+// Fingerprint. A topology is a pure function of the geometry the fingerprint
+// covers, so equal fingerprints may share one table; it is never written
+// after it is built.
 type topology struct {
 	trapCount int
 	trapBase  [][]int // [zone][slm] → ordinal of trap (0, 0)
@@ -39,34 +40,57 @@ type topology struct {
 	trapNearSite []SiteRef
 }
 
-var (
-	topoCache sync.Map // *Architecture → *topology
-	topoCount atomic.Int32
-)
+// topoTableLimit bounds the shared table. A long-running zac-serve decodes
+// a fresh *Architecture per request, but the requests name few distinct
+// architectures, and every decoded copy of one of them finds its table
+// here. Past the limit an arbitrary entry is evicted: architectures that
+// already hold it keep it, and a later one with its fingerprint rebuilds it.
+const topoTableLimit = 16
 
-// topoCacheLimit bounds the number of cached topologies. A long-running
-// zac-serve decodes a fresh *Architecture per request, so an unbounded
-// pointer-keyed cache would grow forever; past the limit the cache is reset
-// wholesale — topologies are pure derivations of the architecture, so an
-// evicted entry only costs recomputation, never a behavior change.
-const topoCacheLimit = 64
+var topoTable = struct {
+	sync.Mutex
+	m map[string]*topology // Fingerprint → topology
+}{m: map[string]*topology{}}
 
 func (a *Architecture) topo() *topology {
-	if v, ok := topoCache.Load(a); ok {
-		return v.(*topology)
+	if t, ok := a.topology.Load().(*topology); ok {
+		return t
 	}
-	t := buildTopology(a)
-	if v, loaded := topoCache.LoadOrStore(a, t); loaded {
-		return v.(*topology)
+	t := sharedTopology(a)
+	if !a.topology.CompareAndSwap(nil, t) {
+		return a.topology.Load().(*topology) // a concurrent first use won
 	}
-	if topoCount.Add(1) > topoCacheLimit {
-		topoCount.Store(1)
-		topoCache.Range(func(k, _ any) bool {
-			topoCache.Delete(k)
-			return true
-		})
-		topoCache.Store(a, t)
+	return t
+}
+
+// sharedTopology returns the table of a's fingerprint, building and
+// recording it on a miss. An architecture whose fingerprint cannot be
+// computed (a NaN or infinite field) gets a private table: its Fingerprint
+// is not a faithful key for its geometry.
+func sharedTopology(a *Architecture) *topology {
+	fp, err := a.fingerprint()
+	if err != nil {
+		return buildTopology(a)
 	}
+	topoTable.Lock()
+	t := topoTable.m[fp]
+	topoTable.Unlock()
+	if t != nil {
+		return t
+	}
+	t = buildTopology(a)
+	topoTable.Lock()
+	defer topoTable.Unlock()
+	if prev := topoTable.m[fp]; prev != nil {
+		return prev // built concurrently by another architecture
+	}
+	if len(topoTable.m) >= topoTableLimit {
+		for k := range topoTable.m {
+			delete(topoTable.m, k)
+			break
+		}
+	}
+	topoTable.m[fp] = t
 	return t
 }
 
