@@ -20,6 +20,7 @@ package schedule
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"zac/internal/arch"
@@ -257,17 +258,17 @@ func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
 	type builtJob struct {
 		job     zair.RearrangeJob
 		dur     float64
-		sources map[zair.QLoc]bool // trap part only (Q zeroed)
-		targets map[zair.QLoc]bool
-		deps    []int // job indices that must complete first
+		targets []zair.QLoc // trap part only (Q zeroed)
+		deps    []int       // job indices that must complete first
 		placed  bool
 		begin   float64
 	}
 	trapOf := func(l zair.QLoc) zair.QLoc { l.Q = 0; return l }
-	jobs := make([]*builtJob, 0, len(groups))
-	for _, g := range groups {
-		var ms []zair.MoveSpec
-		bj := &builtJob{sources: map[zair.QLoc]bool{}, targets: map[zair.QLoc]bool{}}
+	jobs := make([]*builtJob, len(groups))
+	pickedBy := make(map[zair.QLoc][]int, len(specs)) // trap → jobs picking an atom up there
+	for ji, g := range groups {
+		ms := make([]zair.MoveSpec, 0, len(g))
+		bj := &builtJob{targets: make([]zair.QLoc, 0, len(g))}
 		for _, i := range g {
 			sp := specs[i]
 			begin := s.posQLoc(sp.move.Qubit, sp.move.From)
@@ -276,26 +277,23 @@ func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
 				Qubit: sp.move.Qubit, Begin: begin, End: end,
 				From: sp.from, To: sp.to,
 			})
-			bj.sources[trapOf(begin)] = true
-			bj.targets[trapOf(end)] = true
+			pickedBy[trapOf(begin)] = append(pickedBy[trapOf(begin)], ji)
+			bj.targets = append(bj.targets, trapOf(end))
 		}
 		job, timing := zair.BuildJob(0, ms, s.a.Times.AtomTransfer, s.a.MoveTime)
 		bj.job, bj.dur = job, timing.Total()
-		jobs = append(jobs, bj)
+		jobs[ji] = bj
 	}
 
 	// Trap dependencies within the phase (Fig. 7a): a job dropping into a
 	// trap must wait for the job that picks an atom up from that trap.
-	// Advanced in-zone reuse is the only source of such pairs.
+	// Advanced in-zone reuse is the only source of such pairs. deps is a
+	// set; its order does not affect the schedule.
 	for ai, a := range jobs {
-		for bi, b := range jobs {
-			if ai == bi {
-				continue
-			}
-			for t := range a.targets {
-				if b.sources[t] {
+		for _, t := range a.targets {
+			for _, bi := range pickedBy[t] {
+				if bi != ai && !slices.Contains(a.deps, bi) {
 					a.deps = append(a.deps, bi)
-					break
 				}
 			}
 		}
