@@ -110,7 +110,11 @@ type CompileResponse struct {
 	// recorder.
 	TraceID string `json:"trace_id,omitempty"`
 	// ZAIR is the compiled program, byte-identical to the `zac -out` CLI
-	// encoding. Omitted when the request was made with ?zair=0.
+	// encoding. The service encodes it once, when the compilation runs,
+	// caches those bytes with the result in both tiers, and splices them
+	// into every reply that serves it (re-indented for its depth in the
+	// reply; ?format=zair writes them as they are). Omitted when the request
+	// was made with ?zair=0.
 	ZAIR json.RawMessage `json:"zair,omitempty"`
 }
 

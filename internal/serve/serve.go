@@ -325,9 +325,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rawZAIR {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(item.Result.ZAIR)
+		writeBody(w, http.StatusOK, item.Result.ZAIR)
 		return
 	}
 	writeJSON(w, http.StatusOK, item.Result)
@@ -458,17 +456,11 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, defaultComp
 		return nil, "", fmt.Errorf("workers must be non-negative, got %d", req.Workers)
 	}
 
-	key := "serve|" + c.Name() + "|" + circKey + "|arch=" + a.Fingerprint()
-	// SARestarts > 1 changes the compiled bytes, so it joins the key; the
-	// default leaves the key (and any persisted disk entries) untouched.
-	// Workers never joins the key — it only changes compile speed.
-	if req.SARestarts > 1 {
-		key += fmt.Sprintf("|sar=%d", req.SARestarts)
-	}
+	key := entryKey(c.Name(), circKey, a, req.SARestarts)
 	// DoCtxTier gives the computation a context cancelled only when every
 	// request sharing it has disconnected, so one client abandoning a
 	// compile never fails an identical concurrent request.
-	res, tier, err := engine.GetTieredCtxTier(s.cache, ctx, key, core.ResultCodec(), func(ctx context.Context) (*core.Result, error) {
+	e, tier, err := engine.GetTieredCtxTier(s.cache, ctx, key, entryCodec, func(ctx context.Context) (*entry, error) {
 		ctx, adm := telemetry.Start(ctx, "admission")
 		queued, err := s.admit(ctx)
 		adm.SetBool("queued", queued)
@@ -494,42 +486,18 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, defaultComp
 			SARestarts: req.SARestarts,
 			Workers:    s.compileWorkers(req.Workers),
 		})
-		if err == nil {
-			s.recordLatency(c.Name(), time.Since(t0))
-			s.recordPasses(c.Name(), r.Passes)
+		if err != nil {
+			return nil, err
 		}
-		return r, err
+		s.recordLatency(c.Name(), time.Since(t0))
+		s.recordPasses(c.Name(), r.Passes)
+		return newEntry(r)
 	})
 	s.compiles.Add(1)
 	if err != nil {
 		return nil, tier, err
 	}
-
-	out := &CompileResponse{
-		Name:          res.Program.Name,
-		NumQubits:     res.Program.NumQubits,
-		Compiler:      c.Name(),
-		Setting:       setting,
-		Fidelity:      res.Breakdown,
-		DurationUS:    res.Duration,
-		CompileMS:     float64(res.CompileTime) / float64(time.Millisecond),
-		RydbergStages: res.NumRydbergStages,
-		RearrangeJobs: res.NumJobs,
-		ReusedGates:   res.ReusedGates,
-		Moves:         res.TotalMoves,
-		Cached:        tier != engine.TierCompute,
-	}
-	if includeZAIR {
-		// The exact encoding the zac CLI writes with -out, so service and
-		// CLI output are byte-identical for the same compilation. Baseline
-		// compilers are evaluation models: their program is header-only.
-		raw, err := json.MarshalIndent(res.Program, "", " ")
-		if err != nil {
-			return nil, tier, fmt.Errorf("encoding ZAIR: %w", err)
-		}
-		out.ZAIR = raw
-	}
-	return out, tier, nil
+	return e.response(c.Name(), setting, tier != engine.TierCompute, includeZAIR), tier, nil
 }
 
 // compileWorkers resolves one compilation's intra-compile worker budget from
@@ -726,20 +694,3 @@ func (s *Server) CacheStats() engine.TieredStats { return s.cache.Stats() }
 
 // PassCacheStats exposes the pass-artifact cache's counters.
 func (s *Server) PassCacheStats() engine.TieredStats { return s.artifacts.Stats() }
-
-// writeJSON writes v as indented JSON with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
-}
-
-// writeError writes err as an ErrorResponse with the given status.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}

@@ -52,9 +52,7 @@ func (s *Server) writeTrace(w http.ResponseWriter, r *http.Request, id string) {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding chrome trace: %w", err))
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(append(data, '\n'))
+		writeBody(w, http.StatusOK, append(data, '\n'))
 		return
 	}
 	writeJSON(w, http.StatusOK, td)
