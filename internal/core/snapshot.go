@@ -53,8 +53,9 @@ func (s *Snapshot) Result() *Result {
 }
 
 // ResultCodec returns the engine codec that persists *Result values through
-// their Snapshot form — the codec the experiment harness and zac-serve use
-// for the disk tier of the compilation cache.
+// their Snapshot form — the codec the experiment harness uses for the disk
+// tier of the compilation cache. (zac-serve caches its finished responses
+// instead; see internal/serve.)
 func ResultCodec() *engine.Codec {
 	return &engine.Codec{
 		Encode: func(v any) ([]byte, error) {
