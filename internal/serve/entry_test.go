@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -261,32 +260,5 @@ func TestConcurrentHitsShareZAIR(t *testing.T) {
 	}
 	if st := s.CacheStats(); st.Misses != 1 {
 		t.Errorf("the key compiled %d times", st.Misses)
-	}
-}
-
-// TestEntryCodecRoundTrip: an entry survives the disk payload format
-// unchanged, header scalars and ZAIR bytes alike.
-func TestEntryCodecRoundTrip(t *testing.T) {
-	s := New(Options{})
-	if _, _, err := s.compileOne(context.Background(), CompileRequest{Circuit: "ghz_n23"}, "", false); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.cache.Do(entryKey("zac", "circ=ghz_n23", arch.Reference(), 0), nil, func() (any, error) {
-		return nil, errors.New("missing")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := v.(*entry)
-	data, err := entryCodec.Encode(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := entryCodec.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := got.(*entry); g.entryHeader != want.entryHeader || !bytes.Equal(g.zair, want.zair) {
-		t.Fatalf("round trip changed the entry:\n got %+v\nwant %+v", g.entryHeader, want.entryHeader)
 	}
 }
