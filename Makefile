@@ -26,10 +26,11 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSuite(Sequential|Parallel)' -benchtime 2x .
 
-# Placement hot-path micro-benchmarks (ISSUE 3): JV matching, SA initial
-# placement, and the full BuildPlan pipeline, with allocation counts.
+# Placement hot-path micro-benchmarks: JV matching, the move-grouping
+# partition, SA initial placement, and the full BuildPlan pipeline, with
+# allocation counts.
 bench-micro:
-	$(GO) test -run xxx -bench 'BenchmarkJVDense|BenchmarkJVSparse|BenchmarkSAInitial|BenchmarkBuildPlan' -benchmem ./internal/matching ./internal/place
+	$(GO) test -run xxx -bench 'BenchmarkJVDense|BenchmarkJVSparse|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan' -benchmem ./internal/matching ./internal/graphalgo ./internal/place
 
 # Diff the micro-benchmarks against a baseline ref (default HEAD) and emit
 # BENCH_3.json: make bench-compare REF=<ref>.

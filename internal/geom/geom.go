@@ -78,13 +78,17 @@ type BBox struct {
 	empty                  bool
 }
 
-// NewBBox returns an empty bounding box.
+var emptyBBox = BBox{
+	MinX: math.Inf(1), MinY: math.Inf(1),
+	MaxX: math.Inf(-1), MaxY: math.Inf(-1),
+	empty: true,
+}
+
+// NewBBox returns an empty bounding box. It is small enough to inline, so
+// a box that does not outlive its caller stays on the stack.
 func NewBBox() *BBox {
-	return &BBox{
-		MinX: math.Inf(1), MinY: math.Inf(1),
-		MaxX: math.Inf(-1), MaxY: math.Inf(-1),
-		empty: true,
-	}
+	b := emptyBBox
+	return &b
 }
 
 // Extend grows the box to include p.

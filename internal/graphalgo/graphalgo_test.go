@@ -2,6 +2,8 @@ package graphalgo
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -108,31 +110,147 @@ func TestValidEdgeColoringRejects(t *testing.T) {
 	}
 }
 
+// referenceMIS is the greedy maximal independent set the partition's
+// rounds are defined by: vertices in ascending (degree, vertex) order, each
+// taken unless a neighbour was. The result is sorted ascending.
+func referenceMIS(n int, adj [][]int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		da, db := len(adj[order[a]]), len(adj[order[b]])
+		if da != db {
+			return da < db
+		}
+		return order[a] < order[b]
+	})
+	blocked := make([]bool, n)
+	var set []int
+	for _, v := range order {
+		if blocked[v] {
+			continue
+		}
+		set = append(set, v)
+		blocked[v] = true
+		for _, w := range adj[v] {
+			blocked[w] = true
+		}
+	}
+	sort.Ints(set)
+	return set
+}
+
+// referencePartition is the partition spelled out: every round rebuilds
+// the subgraph induced by the ungrouped vertices and takes referenceMIS of
+// it. PartitionIntoIndependentSets must return exactly its groups.
+func referencePartition(n int, adj [][]int) [][]int {
+	remaining := make([]bool, n)
+	for i := range remaining {
+		remaining[i] = true
+	}
+	left := n
+	var groups [][]int
+	for left > 0 {
+		idx := make([]int, 0, left)
+		pos := make([]int, n)
+		for i := range pos {
+			pos[i] = -1
+		}
+		for v := 0; v < n; v++ {
+			if remaining[v] {
+				pos[v] = len(idx)
+				idx = append(idx, v)
+			}
+		}
+		sub := make([][]int, len(idx))
+		for si, v := range idx {
+			for _, w := range adj[v] {
+				if remaining[w] {
+					sub[si] = append(sub[si], pos[w])
+				}
+			}
+		}
+		mis := referenceMIS(len(idx), sub)
+		group := make([]int, len(mis))
+		for i, si := range mis {
+			group[i] = idx[si]
+			remaining[idx[si]] = false
+		}
+		left -= len(group)
+		groups = append(groups, group)
+	}
+	return groups
+}
+
+// randomAdj builds a symmetric adjacency with edge probability p; each
+// row lists lower neighbours then higher ones, as the conflict-graph
+// builders do.
+func randomAdj(r *rand.Rand, n int, p float64) [][]int {
+	adj := make([][]int, n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if r.Float64() < p {
+				adj[u] = append(adj[u], v)
+				adj[v] = append(adj[v], u)
+			}
+		}
+	}
+	return adj
+}
+
+// TestMaximalIndependentSet checks the partition's first round: on the
+// whole graph it must be a maximal independent set, the reference greedy
+// one.
 func TestMaximalIndependentSet(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + r.Intn(15)
-		adj := make([][]int, n)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if r.Float64() < 0.3 {
-					adj[u] = append(adj[u], v)
-					adj[v] = append(adj[v], u)
-				}
-			}
-		}
-		set := MaximalIndependentSet(n, adj)
+		adj := randomAdj(r, n, 0.3)
+		set := PartitionIntoIndependentSets(n, adj)[0]
 		if !IsMaximalIndependent(n, adj, set) {
 			t.Fatalf("iter %d: set %v not maximal independent, adj=%v", iter, set, adj)
+		}
+		if want := referenceMIS(n, adj); !slices.Equal(set, want) {
+			t.Fatalf("iter %d: first group %v, reference %v", iter, set, want)
 		}
 	}
 }
 
 func TestMISNoEdgesTakesAll(t *testing.T) {
 	adj := make([][]int, 6)
-	set := MaximalIndependentSet(6, adj)
-	if len(set) != 6 {
-		t.Fatalf("expected all 6 vertices, got %v", set)
+	if groups := PartitionIntoIndependentSets(6, adj); len(groups) != 1 || len(groups[0]) != 6 {
+		t.Fatalf("expected one group of all 6 vertices, got %v", groups)
+	}
+}
+
+// TestPartitionMatchesReference requires group-by-group equality with the
+// rebuild-the-subgraph reference on random graphs from nearly empty to as
+// dense as real move-conflict graphs, and on empty graphs, cliques and
+// stars.
+func TestPartitionMatchesReference(t *testing.T) {
+	check := func(name string, n int, adj [][]int) {
+		t.Helper()
+		got, want := PartitionIntoIndependentSets(n, adj), referencePartition(n, adj)
+		if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("%s (n=%d): groups %v, reference %v", name, n, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(45))
+	densities := []float64{0.01, 0.05, 0.1, 0.2, 0.35, 0.6, 0.85}
+	for iter := 0; iter < 60; iter++ {
+		n := 1 + r.Intn(300)
+		check("random", n, randomAdj(r, n, densities[iter%len(densities)]))
+	}
+	for _, n := range []int{0, 1, 7, 40} {
+		check("empty", n, make([][]int, n))
+		check("clique", n, randomAdj(r, n, 1))
+		star := make([][]int, n)
+		for v := 1; v < n; v++ {
+			star[0] = append(star[0], v)
+			star[v] = append(star[v], 0)
+		}
+		check("star", n, star)
 	}
 }
 
@@ -192,5 +310,21 @@ func BenchmarkMisraGries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MisraGries(100, edges)
+	}
+}
+
+var partitionSink [][]int
+
+// BenchmarkPartitionIntoIndependentSets partitions a 300-vertex conflict
+// graph with 80% of pairs conflicting, the shape of the widest move
+// phases of large compiles (up to 256 moves, 70–90% of pairs in conflict).
+func BenchmarkPartitionIntoIndependentSets(b *testing.B) {
+	r := rand.New(rand.NewSource(2))
+	n := 300
+	adj := randomAdj(r, n, 0.8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		partitionSink = PartitionIntoIndependentSets(n, adj)
 	}
 }

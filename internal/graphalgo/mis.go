@@ -1,79 +1,76 @@
 package graphalgo
 
-import "sort"
-
-// MaximalIndependentSet returns a maximal independent set of the conflict
-// graph given by adjacency lists, preferring low-degree vertices first (the
-// standard greedy heuristic, as used by Enola for movement grouping). The
-// result is sorted ascending.
-func MaximalIndependentSet(n int, adj [][]int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := len(adj[order[a]]), len(adj[order[b]])
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
-	blocked := make([]bool, n)
-	var set []int
-	for _, v := range order {
-		if blocked[v] {
-			continue
-		}
-		set = append(set, v)
-		blocked[v] = true
-		for _, w := range adj[v] {
-			blocked[w] = true
-		}
-	}
-	sort.Ints(set)
-	return set
-}
-
 // PartitionIntoIndependentSets repeatedly extracts maximal independent sets
-// until every vertex is covered, returning the groups in extraction order.
-// This is how rearrangement jobs are formed from a movement conflict graph
-// (paper §VI, following Enola): each group is one job of compatible moves.
+// until every vertex is covered, returning the groups in extraction order,
+// each sorted ascending. This is how rearrangement jobs are formed from a
+// movement conflict graph (paper §VI, following Enola): each group is one
+// job of compatible moves. adj must be symmetric (an undirected graph).
+//
+// Each round is the standard greedy heuristic, low-degree vertices first,
+// over the graph induced by the vertices not yet grouped: they are visited
+// in ascending (induced degree, vertex) order, and one joins the group
+// unless a neighbour already has. A round costs O(live vertices + max
+// degree) plus the adjacency of the vertices it groups: induced degrees
+// are kept live (decremented as neighbours leave), a stable counting sort
+// orders the round, and a round stamp marks blocked vertices.
 func PartitionIntoIndependentSets(n int, adj [][]int) [][]int {
-	remaining := make([]bool, n)
-	for i := range remaining {
-		remaining[i] = true
+	deg := make([]int, n) // degree induced by the live vertices
+	maxDeg := 0
+	for v := range deg {
+		deg[v] = len(adj[v])
+		maxDeg = max(maxDeg, deg[v])
 	}
-	left := n
+	live := make([]int, n) // ungrouped vertices, ascending
+	for v := range live {
+		live[v] = v
+	}
+	order := make([]int, n)
+	count := make([]int, maxDeg+1)
+	blocked := make([]int, n) // round that blocked v; 0 = none
+	grouped := make([]bool, n)
+	buf := make([]int, n) // every group is carved out of buf
 	var groups [][]int
-	for left > 0 {
-		// Build the induced subgraph over remaining vertices.
-		idx := make([]int, 0, left)
-		pos := make([]int, n)
-		for i := range pos {
-			pos[i] = -1
+	for round := 1; len(live) > 0; round++ {
+		top := 0
+		for _, v := range live {
+			top = max(top, deg[v])
 		}
-		for v := 0; v < n; v++ {
-			if remaining[v] {
-				pos[v] = len(idx)
-				idx = append(idx, v)
+		cnt := count[:top+1]
+		clear(cnt)
+		for _, v := range live {
+			cnt[deg[v]]++
+		}
+		sum := 0
+		for d, c := range cnt {
+			cnt[d] = sum
+			sum += c
+		}
+		for _, v := range live {
+			order[cnt[deg[v]]] = v
+			cnt[deg[v]]++
+		}
+		for _, v := range order[:len(live)] {
+			if blocked[v] == round {
+				continue
 			}
-		}
-		sub := make([][]int, len(idx))
-		for si, v := range idx {
+			grouped[v] = true
 			for _, w := range adj[v] {
-				if remaining[w] {
-					sub[si] = append(sub[si], pos[w])
-				}
+				blocked[w] = round
+				deg[w]--
 			}
 		}
-		mis := MaximalIndependentSet(len(idx), sub)
-		group := make([]int, len(mis))
-		for i, si := range mis {
-			group[i] = idx[si]
-			remaining[idx[si]] = false
+		group := buf[:0]
+		rest := live[:0]
+		for _, v := range live {
+			if grouped[v] {
+				group = append(group, v)
+			} else {
+				rest = append(rest, v)
+			}
 		}
-		left -= len(group)
-		groups = append(groups, group)
+		groups = append(groups, group[:len(group):len(group)])
+		buf = buf[len(group):]
+		live = rest
 	}
 	return groups
 }

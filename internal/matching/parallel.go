@@ -16,9 +16,11 @@ const minParallelRows = 64
 // ParallelSolver solves sparse assignment problems by decomposing the
 // bipartite candidate graph into connected components and solving the
 // components concurrently, each on its own Solver scratch. Placement stages
-// are built from k-neighbor candidate lists, so their graphs split into many
-// small independent components; solving them in parallel is the ISSUE 9
-// treatment of the per-stage JV solves.
+// are built from k-neighbor candidate lists, so their graphs can split into
+// independent components. Problems under minParallelRows rows, and graphs
+// that form one component, take the sequential Solver.SolveSparse, whose
+// per-step cost already scales with the columns a row's search touches
+// rather than with m.
 //
 // Results are bit-identical to Solver.SolveSparse by construction:
 //
@@ -29,8 +31,8 @@ const minParallelRows = 64
 //     on that component's rows and columns.
 //   - Within a component, rows are solved in ascending original order and
 //     columns are renumbered ascending by original index, preserving the
-//     delta-search tie-break (first strict minimum in ascending column
-//     order).
+//     delta-search tie-break (the smallest label, ties to the lowest
+//     column).
 //   - The total is re-summed over rows in ascending global order afterwards,
 //     reproducing the sequential finish() float addition order.
 //

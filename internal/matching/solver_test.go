@@ -105,6 +105,103 @@ func TestSolverMatchesReference(t *testing.T) {
 	}
 }
 
+// bandedCSR builds a placement-shaped sparse instance: n rows over m
+// columns, row i's arcs a contiguous band of about deg columns around
+// column i·m/n with a few holes, so neighbouring rows overlap heavily the
+// way k-neighbour candidate sets do. Costs are quarter steps, so ties are
+// common, and each row's arcs are shuffled, as candidate order is not
+// column order. With block > 1 a run of block rows shares one band of
+// block-1 columns, which no full matching can saturate.
+func bandedCSR(r *rand.Rand, n, m, deg, block int) (rowStart, cols []int, costs []float64) {
+	rowStart = []int{0}
+	b0 := -1
+	if block > 1 {
+		b0 = r.Intn(n - block + 1)
+	}
+	for i := 0; i < n; i++ {
+		lo, w := 0, min(deg, m)
+		if b0 >= 0 && i >= b0 && i < b0+block {
+			lo, w = b0*m/n, block-1
+		} else {
+			lo = i*m/n - w/2 + r.Intn(7) - 3
+		}
+		lo = max(0, min(lo, m-w))
+		start := len(cols)
+		for j := lo; j < lo+w; j++ {
+			if w > block && r.Intn(10) == 0 {
+				continue
+			}
+			cols = append(cols, j)
+			costs = append(costs, float64(r.Intn(160))/4)
+		}
+		r.Shuffle(len(cols)-start, func(a, b int) {
+			cols[start+a], cols[start+b] = cols[start+b], cols[start+a]
+			costs[start+a], costs[start+b] = costs[start+b], costs[start+a]
+		})
+		rowStart = append(rowStart, len(cols))
+	}
+	return rowStart, cols, costs
+}
+
+// denseFromCSR expands a CSR instance into the +Inf-filled matrix
+// MinWeightFullMatching takes.
+func denseFromCSR(n, m int, rowStart, cols []int, costs []float64) [][]float64 {
+	cost := make([][]float64, n)
+	for i := range cost {
+		cost[i] = make([]float64, m)
+		for j := range cost[i] {
+			cost[i][j] = math.Inf(1)
+		}
+		for a := rowStart[i]; a < rowStart[i+1]; a++ {
+			cost[i][cols[a]] = costs[a]
+		}
+	}
+	return cost
+}
+
+// TestSolveSparseMatchesReferenceOnPlacementShapes drives SolveSparse at
+// the sizes placement produces — up to ~120 rows over ~2n columns with
+// 60–80 overlapping arcs per row — where a row's search takes many
+// augmenting steps and the frontier grows, shrinks and is swap-removed
+// from. Every instance must agree exactly with MinWeightFullMatching on the
+// dense expansion: same assignment, same total, same error. One Solver
+// serves every iteration, so a solve that fails with ErrNoFullMatching is
+// always followed by one that must not see its leftover marks.
+func TestSolveSparseMatchesReferenceOnPlacementShapes(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	var s Solver
+	infeasible := 0
+	for iter := 0; iter < 120; iter++ {
+		n := 1 + r.Intn(120)
+		m := 2*n - r.Intn(n/2+1)
+		block := 0
+		if iter%4 == 1 && n >= 3 {
+			block = 2 + r.Intn(min(n, 8)-1)
+		}
+		rowStart, cols, costs := bandedCSR(r, n, m, 60+r.Intn(21), block)
+		wantTo, wantTotal, wantErr := MinWeightFullMatching(denseFromCSR(n, m, rowStart, cols, costs))
+		gotTo, gotTotal, gotErr := s.SolveSparse(n, m, rowStart, cols, costs)
+		if gotErr != wantErr {
+			t.Fatalf("iter %d (n=%d m=%d): err %v, reference %v", iter, n, m, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			infeasible++
+			continue
+		}
+		if gotTotal != wantTotal {
+			t.Fatalf("iter %d (n=%d m=%d): total %v, reference %v", iter, n, m, gotTotal, wantTotal)
+		}
+		for i := range wantTo {
+			if gotTo[i] != wantTo[i] {
+				t.Fatalf("iter %d (n=%d m=%d): row %d → %d, reference %d", iter, n, m, i, gotTo[i], wantTo[i])
+			}
+		}
+	}
+	if infeasible == 0 || infeasible > 60 {
+		t.Fatalf("%d of 120 instances infeasible; the generator should mix both verdicts", infeasible)
+	}
+}
+
 func TestSolverEmptyAndDegenerate(t *testing.T) {
 	var s Solver
 	if rowTo, total, err := s.SolveDense(0, 0, nil); err != nil || total != 0 || rowTo != nil {
@@ -184,6 +281,27 @@ func BenchmarkJVSparse(b *testing.B) {
 		}
 		rowStart = append(rowStart, len(cols))
 	}
+	var s Solver
+	if _, _, err := s.SolveSparse(n, m, rowStart, cols, costs); err != nil { // warm up
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.SolveSparse(n, m, rowStart, cols, costs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJVSparseReturns measures a storage-return shaped solve: ~90
+// qubits over a ~190-trap union of candidate boxes, ~70 overlapping arcs
+// per row, quarter-step costs. Like BenchmarkJVSparse it must stay at 0
+// allocs/op after warm-up.
+func BenchmarkJVSparseReturns(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	n, m := 90, 190
+	rowStart, cols, costs := bandedCSR(r, n, m, 70, 0)
 	var s Solver
 	if _, _, err := s.SolveSparse(n, m, rowStart, cols, costs); err != nil { // warm up
 		b.Fatal(err)

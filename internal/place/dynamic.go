@@ -482,15 +482,17 @@ func appendCandidateTraps(
 	k int,
 ) []arch.TrapRef {
 	cur := pos[q].Point(a)
+	// Only the anchors' bounding box matters, so each anchor extends it
+	// as it is found.
 	box := geom.NewBBox()
-	anchors := make([]arch.TrapRef, 0, 4*k+3)
+	anchor := func(t arch.TrapRef) { box.Extend(a.TrapPos(t)) }
 
 	// (1) original storage trap
-	anchors = append(anchors, home[q])
+	anchor(home[q])
 	// (2) nearest storage trap to the current site plus k-neighbors along
 	// its row and column
 	nearest := a.NearestStorageTrap(cur)
-	anchors = append(anchors, nearest)
+	anchor(nearest)
 	z := a.Storage[nearest.Zone].SLMs[nearest.SLM]
 	for d := 1; d <= k; d++ {
 		for _, t := range [4]arch.TrapRef{
@@ -500,18 +502,15 @@ func appendCandidateTraps(
 			{Zone: nearest.Zone, SLM: nearest.SLM, Row: nearest.Row + d, Col: nearest.Col},
 		} {
 			if z.InRange(t.Row, t.Col) {
-				anchors = append(anchors, t)
+				anchor(t)
 			}
 		}
 	}
 	// (3) nearest trap to the related qubit
 	if related != nil && related[q] >= 0 {
-		anchors = append(anchors, a.NearestStorageTrap(pos[related[q]].Point(a)))
+		anchor(a.NearestStorageTrap(pos[related[q]].Point(a)))
 	}
 
-	for _, t := range anchors {
-		box.Extend(a.TrapPos(t))
-	}
 	// Collect the empty traps inside the bounding box. Restrict the scan to
 	// the storage SLM arrays that intersect the box.
 	for zi, zz := range a.Storage {

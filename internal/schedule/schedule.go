@@ -20,6 +20,7 @@ package schedule
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -400,54 +401,74 @@ func axisCompatible(a0, b0, a1, b1 float64) bool {
 
 // groupCompatible partitions movement indices into groups of pairwise
 // compatible movements using repeated maximal independent sets over the
-// conflict graph (paper §VI, following Enola's O(n² log n) approach). On
-// wide phases the O(n²) adjacency build fans the upper-triangle rows out to
-// workers goroutines (row i computes its j > i conflicts independently) and
-// mirrors them sequentially afterwards, reproducing the sequential
-// construction's exact adjacency order — each adj[k] lists the neighbors
-// below k ascending, then those above k ascending — so the independent-set
-// partition (and therefore the program bytes) is unchanged at any worker
-// count.
+// conflict graph (paper §VI, following Enola's O(n² log n) approach). The
+// O(n²) compatibility scan fills the upper triangle of a conflict bit
+// matrix, one row per move; on wide phases the rows fan out to workers
+// goroutines, each row owned by one. The adjacency is then built
+// sequentially from the bits, every row carved out of one buffer after a
+// degree count, with each adj[k] listing the neighbors below k ascending,
+// then those above k ascending, so the partition (and therefore the
+// program bytes) is the same at any worker count.
 func groupCompatible(ctx context.Context, workers int, specs []moveSpec) ([][]int, error) {
 	n := len(specs)
-	adj := make([][]int, n)
+	words := (n + 63) / 64
+	conflict := make([]uint64, n*words) // row i, bit j: j > i conflicts with i
+	scan := func(i int) {
+		row := conflict[i*words : (i+1)*words]
+		for j := i + 1; j < n; j++ {
+			if !compatible(specs[i], specs[j]) {
+				row[j/64] |= 1 << (j % 64)
+			}
+		}
+	}
 	if workers > 1 && n >= minParallelMoves {
 		ctx, span := telemetry.Start(ctx, "schedule.conflict_graph")
 		span.SetInt("moves", n)
 		span.SetInt("workers", workers)
 		defer span.End()
-		upper := make([][]int, n)
-		if err := engine.ForEach(ctx, workers, n, func(i int) error {
-			var row []int
-			for j := i + 1; j < n; j++ {
-				if !compatible(specs[i], specs[j]) {
-					row = append(row, j)
-				}
-			}
-			upper[i] = row
-			return nil
-		}); err != nil {
+		if err := engine.ForEach(ctx, workers, n, func(i int) error { scan(i); return nil }); err != nil {
 			return nil, err
 		}
+	} else {
 		for i := 0; i < n; i++ {
-			for _, j := range upper[i] {
-				adj[j] = append(adj[j], i)
+			scan(i)
+		}
+	}
+	deg := make([]int, n)
+	for i := 0; i < n; i++ {
+		for w, word := range conflict[i*words : (i+1)*words] {
+			deg[i] += bits.OnesCount64(word)
+			for ; word != 0; word &= word - 1 {
+				deg[w*64+bits.TrailingZeros64(word)]++
 			}
 		}
-		for i := 0; i < n; i++ {
-			adj[i] = append(adj[i], upper[i]...)
-		}
-		return graphalgo.PartitionIntoIndependentSets(n, adj), nil
 	}
+	adj := carveRows(deg)
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !compatible(specs[i], specs[j]) {
-				adj[i] = append(adj[i], j)
+		for w, word := range conflict[i*words : (i+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				j := w*64 + bits.TrailingZeros64(word)
 				adj[j] = append(adj[j], i)
+				adj[i] = append(adj[i], j)
 			}
 		}
 	}
 	return graphalgo.PartitionIntoIndependentSets(n, adj), nil
+}
+
+// carveRows returns empty adjacency rows with capacity deg[i] each, all
+// backed by one buffer, so filling them appends without allocating.
+func carveRows(deg []int) [][]int {
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	buf := make([]int, total)
+	adj := make([][]int, len(deg))
+	for i, d := range deg {
+		adj[i], buf = buf[:0:d], buf[d:]
+	}
+	return adj
 }
 
 // trapQLoc renders a storage trap as a ZAIR qloc.

@@ -2,11 +2,14 @@ package schedule
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"zac/internal/arch"
 	"zac/internal/circuit"
 	"zac/internal/geom"
+	"zac/internal/graphalgo"
 	"zac/internal/place"
 	"zac/internal/resynth"
 	"zac/internal/zair"
@@ -198,6 +201,39 @@ func TestGroupCompatibleCoversAll(t *testing.T) {
 	}
 	if len(groups) < 2 {
 		t.Fatal("crossing moves must land in separate groups/jobs")
+	}
+}
+
+// TestGroupCompatibleMatchesPairwise checks the conflict bit matrix across
+// word boundaries: serial and parallel scans must give the groups of the
+// plain pairwise adjacency.
+func TestGroupCompatibleMatchesPairwise(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 2, 63, 64, 65, 150} {
+		specs := make([]moveSpec, n)
+		for i := range specs {
+			specs[i].from = geom.Point{X: float64(r.Intn(30)), Y: float64(r.Intn(30))}
+			specs[i].to = geom.Point{X: float64(r.Intn(30)), Y: float64(r.Intn(30))}
+		}
+		adj := make([][]int, n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if !compatible(specs[i], specs[j]) {
+					adj[i] = append(adj[i], j)
+					adj[j] = append(adj[j], i)
+				}
+			}
+		}
+		want := graphalgo.PartitionIntoIndependentSets(n, adj)
+		for _, workers := range []int{1, 2} {
+			got, err := groupCompatible(context.Background(), workers, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+				t.Fatalf("n=%d workers=%d: groups %v, pairwise %v", n, workers, got, want)
+			}
+		}
 	}
 }
 
