@@ -1,7 +1,6 @@
 package place
 
 import (
-	"context"
 	"fmt"
 
 	"zac/internal/arch"
@@ -58,13 +57,7 @@ func sharesQubit(g, h circuit.Gate) bool {
 // candidate transitions can be solved concurrently; a scratch must not be
 // shared between concurrent solves.
 type transitionScratch struct {
-	// solver decomposes each stage's assignment problem into independent
-	// components and fans them out to at most workers goroutines, checking
-	// ctx between components; both knobs are (re)assigned by BuildPlan
-	// before every solve. Outputs stay bit-identical at any worker count.
-	solver  matching.ParallelSolver
-	ctx     context.Context
-	workers int
+	solver matching.Solver
 
 	posView []Pos
 
@@ -112,11 +105,8 @@ type transitionScratch struct {
 }
 
 // newTransitionScratch sizes a scratch for one architecture and qubit count.
-// It starts sequential (workers = 1); BuildPlan assigns the real budget.
 func newTransitionScratch(a *arch.Architecture, numQubits int) *transitionScratch {
 	sc := &transitionScratch{
-		ctx:       context.Background(),
-		workers:   1,
 		reserved:  make([]bool, a.SiteCount()),
 		stay:      make([]bool, numQubits),
 		banned:    make([]bool, numQubits),
@@ -332,7 +322,7 @@ func tryGatePlacement(
 	}
 	sc.rowStart = append(sc.rowStart, len(sc.cols))
 
-	rowTo, total, err := sc.solver.SolveSparse(sc.ctx, sc.workers, len(gateIdx), len(sc.sites), sc.rowStart, sc.cols, sc.costs)
+	rowTo, total, err := sc.solver.SolveSparse(len(gateIdx), len(sc.sites), sc.rowStart, sc.cols, sc.costs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -452,7 +442,7 @@ func tryReturnPlacement(
 	}
 	sc.rowStart = append(sc.rowStart, len(sc.cols))
 
-	rowTo, total, err := sc.solver.SolveSparse(sc.ctx, sc.workers, len(qubits), len(sc.traps), sc.rowStart, sc.cols, sc.costs)
+	rowTo, total, err := sc.solver.SolveSparse(len(qubits), len(sc.traps), sc.rowStart, sc.cols, sc.costs)
 	if err != nil {
 		return nil, 0, err
 	}

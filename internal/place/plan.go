@@ -43,8 +43,9 @@ type Options struct {
 	// produced plan, so it participates in plan identity.
 	SARestarts int
 	// Workers bounds the goroutines one BuildPlan may use across restart
-	// chains and the per-stage parallel JV solves; non-positive selects all
-	// cores. Workers only changes how fast a plan is computed, never its
+	// chains and the per-stage reuse/no-reuse race (Workers=1 runs both
+	// candidates in order on the calling goroutine); non-positive selects
+	// all cores. Workers only changes how fast a plan is computed, never its
 	// bytes, so Canonical() strips it from plan identity.
 	Workers int
 }
@@ -196,13 +197,6 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 	}
 	pl.scratch[0] = newTransitionScratch(a, staged.NumQubits)
 	pl.scratch[1] = newTransitionScratch(a, staged.NumQubits)
-	pl.scratch[0].ctx, pl.scratch[1].ctx = ctx, ctx
-	// When the reuse/no-reuse candidates race 2-way, each side gets half the
-	// intra-solve budget so the total stays within opts.Workers.
-	half := opts.Workers / 2
-	if half < 1 {
-		half = 1
-	}
 	for q, t := range initial {
 		pl.pos[q] = StoragePos(t)
 		pl.occ[a.TrapOrdinal(t)] = q
@@ -227,14 +221,14 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 		var sol transitionSolution
 		if opts.Reuse && prev != nil {
 			cov.Hit("place:transition:candidates")
-			// Solve the reuse and no-reuse candidates concurrently — they
-			// only read planner state and each owns one scratch set — then
-			// pick exactly as the sequential code did: the reuse solve's
-			// error is authoritative, and the cheaper candidate wins.
+			// Solve the reuse and no-reuse candidates, concurrently when
+			// Workers allows — they only read planner state and each owns
+			// one scratch set — then pick exactly as the sequential code
+			// did: the reuse solve's error is authoritative, and the
+			// cheaper candidate wins.
 			var sols [2]transitionSolution
 			var errs [2]error
-			pl.scratch[0].workers, pl.scratch[1].workers = half, half
-			if err := engine.ForEach(ctx, 2, 2, func(i int) error {
+			if err := engine.ForEach(ctx, opts.Workers, 2, func(i int) error {
 				sols[i], errs[i] = pl.solveTransition(prev, cur, next, i == 0, pl.scratch[i])
 				return nil
 			}); err != nil {
@@ -252,7 +246,6 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 			}
 		} else {
 			cov.Hit("place:transition:plain")
-			pl.scratch[0].workers = opts.Workers
 			sol, err = pl.solveTransition(prev, cur, next, false, pl.scratch[0])
 			if err != nil {
 				return nil, err
@@ -273,7 +266,6 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 	if len(plan.Steps) > 0 {
 		cov.Hit("place:final-returns")
 		last := &plan.Steps[len(plan.Steps)-1]
-		pl.scratch[0].workers = opts.Workers
 		sol, err := pl.solveReturns(last, nil, nil, pl.scratch[0])
 		if err != nil {
 			return nil, err
