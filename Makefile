@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet doclint build test race bench bench-micro bench-compare bench-regress bench-regress-rebase benchsuite benchsuite-smoke benchsuite-report fuzz-smoke fuzz-diff fuzz-diff-smoke serve-smoke telemetry-smoke chaos-smoke
+.PHONY: check vet doclint build test race bench bench-micro bench-regress benchsuite benchsuite-smoke benchsuite-report fuzz-smoke fuzz-diff fuzz-diff-smoke serve-smoke telemetry-smoke chaos-smoke
 
 check: vet doclint build race
 
@@ -26,47 +26,35 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSuite(Sequential|Parallel)' -benchtime 2x .
 
-# Placement hot-path micro-benchmarks: JV matching, the move-grouping
-# partition, SA initial placement, and the full BuildPlan pipeline, with
-# allocation counts.
+# Placement and scheduling kernel benchmarks with allocation counts: JV
+# matching, the move-grouping partition, SA initial placement, BuildPlan,
+# and BuildPlan plus schedule. The same list bench-regress gates on.
 bench-micro:
-	$(GO) test -run xxx -bench 'BenchmarkJVDense|BenchmarkJVSparse|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan' -benchmem ./internal/matching ./internal/graphalgo ./internal/place
+	$(GO) test -run xxx -bench 'BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched' -benchmem ./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule
 
-# Diff the micro-benchmarks against a baseline ref (default HEAD) and emit
-# BENCH_3.json: make bench-compare REF=<ref>.
+# Kernel regression gate: the bench-micro list run alternately on a ref
+# (default HEAD) and the working tree on this machine, ingested into the
+# store and judged by its Mann-Whitney gate: make bench-regress REF=<ref>.
 REF ?= HEAD
-bench-compare:
-	./scripts/bench-compare.sh $(REF)
-
-# Regression gate: observatory run + Mann-Whitney gate vs the store's
-# previous commit on this machine; falls back to the >20% raw threshold vs
-# the recorded BENCH_3.json numbers when the store has no comparable
-# baseline yet, and emits BENCH_4.json either way.
 bench-regress:
-	./scripts/bench-regress.sh
+	./scripts/bench-regress.sh $(REF)
 
-# Performance observatory (ISSUE 7): full micro matrix with statistical
-# repetitions into the persistent store, for trend queries and the
-# bench-regress gate. `zac-benchsuite -h` lists the other surfaces
-# (trend, report, gate, export).
+# Performance observatory: the compile matrix with statistical repetitions
+# into the persistent store, for trend queries and reports.
+# `zac-benchsuite -h` lists the other surfaces (ingest, trend, report, gate).
 benchsuite:
-	$(GO) run ./cmd/zac-benchsuite run -matrix micro -reps 10 -store .zac-benchstore -progress
+	$(GO) run ./cmd/zac-benchsuite run -reps 10 -store .zac-benchstore -progress
 
 # Render the observatory store as a markdown report on stdout.
 benchsuite-report:
 	$(GO) run ./cmd/zac-benchsuite report -store .zac-benchstore
 
-# Observatory smoke (CI): two smoke runs populate a throwaway store, a
-# trend query spans both, the gate passes a noise-only rerun and flags a
-# seeded 2× slowdown, and the report/export surfaces render.
+# Observatory smoke (CI): two real JV benchmark runs ingested into a
+# throwaway store, a trend query across both, the gate passing the
+# noise-only pair and flagging a copy with ns/op doubled, then a compile
+# smoke run and the report surfaces.
 benchsuite-smoke:
 	./scripts/benchsuite-smoke.sh
-
-# Hardware-independent gate: regenerate the baseline ON THIS MACHINE at the
-# commit that recorded BENCH_3.json (throwaway worktree → BENCH_local.json),
-# then apply the 20% threshold against those local numbers.
-bench-regress-rebase:
-	./scripts/bench-regress.sh --rebase
 
 # Round-trip fuzz gate: the pinned workload specs through every registry
 # compiler with invariant verification (ZAIR replay, gate-set legality,

@@ -1,20 +1,19 @@
-// Command zac-benchsuite is the performance observatory CLI: it executes
-// the declarative run matrix (placement micro kernels × forge workload
-// families × registry compilers × architectures) with warm-up and
-// repetition control, stamps every record with the machine fingerprint and
-// commit, appends to the persistent JSON-lines store, and answers trend
-// queries, renders markdown/HTML reports, runs the statistical regression
-// gate, and exports BENCH_N.json snapshots from the store.
+// Command zac-benchsuite is the performance observatory CLI: it ingests
+// `go test -bench -benchmem` output for the kernels, executes the
+// declarative compile matrix (forge workload families × registry compilers
+// × architectures) with warm-up and repetition control, stamps every
+// record with the machine fingerprint and commit, appends to the
+// persistent JSON-lines store, and answers trend queries, renders
+// markdown/HTML reports, and runs the statistical regression gate.
 //
 // Subcommands (a bare flag list implies `run`):
 //
+//	go test -run xxx -bench JV -benchmem ./internal/matching | zac-benchsuite ingest -commit <sha>
 //	zac-benchsuite run -smoke -store .zac-benchstore
-//	zac-benchsuite run -matrix micro -reps 10 -store .zac-benchstore
-//	zac-benchsuite run -matrix compile -compilers zac,enola -archs ref,triple
-//	zac-benchsuite trend -store .zac-benchstore -case micro/buildplan/qft_n18 -last 10
+//	zac-benchsuite run -compilers zac,enola -archs ref,triple
+//	zac-benchsuite trend -store .zac-benchstore -case zac/internal/matching.BenchmarkJVDense -last 10
 //	zac-benchsuite report -store .zac-benchstore -format html -o report.html
 //	zac-benchsuite gate -store .zac-benchstore -baseline <sha> -current latest
-//	zac-benchsuite export -store .zac-benchstore -o BENCH_5.json
 //	zac-benchsuite fingerprint
 //
 // Exit codes: 0 success (gate: no regression), 1 gate regression, 2 error.
@@ -29,6 +28,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"strings"
+	"time"
 
 	"zac/internal/benchsuite"
 	"zac/internal/benchsuite/stats"
@@ -37,7 +37,7 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
 // defaultStore is the store directory used when -store is not given.
@@ -45,7 +45,7 @@ const defaultStore = ".zac-benchstore"
 
 // run dispatches the subcommand and returns the process exit code; kept
 // separate from main so tests drive the full CLI in-process.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	cmd := "run"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		cmd, args = args[0], args[1:]
@@ -53,20 +53,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	switch cmd {
 	case "run":
 		return runMatrix(ctx, args, stdout, stderr)
+	case "ingest":
+		return runIngest(args, stdin, stdout, stderr)
 	case "trend":
 		return runTrend(args, stdout, stderr)
 	case "report":
 		return runReport(args, stdout, stderr)
 	case "gate":
 		return runGate(args, stdout, stderr)
-	case "export":
-		return runExport(args, stdout, stderr)
 	case "fingerprint":
 		fp := benchsuite.Machine()
 		fmt.Fprintf(stdout, "%s\n%s\n", fp.ID(), fp.String())
 		return 0
 	default:
-		fmt.Fprintf(stderr, "zac-benchsuite: unknown subcommand %q (have run, trend, report, gate, export, fingerprint)\n", cmd)
+		fmt.Fprintf(stderr, "zac-benchsuite: unknown subcommand %q (have run, ingest, trend, report, gate, fingerprint)\n", cmd)
 		return 2
 	}
 }
@@ -104,8 +104,7 @@ func runMatrix(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	storeDir := fs.String("store", defaultStore, "results store directory (JSON-lines, one shard per machine fingerprint)")
-	smoke := fs.Bool("smoke", false, "tiny matrix (JV kernels + ZAC over two small forge specs), few repetitions")
-	matrix := fs.String("matrix", "all", "case selection: micro, compile, or all")
+	smoke := fs.Bool("smoke", false, "tiny matrix (ZAC over two small forge specs), few repetitions")
 	specs := fs.String("specs", "", "';'-separated forge workload specs for the compile matrix (default: pinned per-family sweep)")
 	compilers := fs.String("compilers", "", "comma-separated registry compilers for the compile matrix (default zac)")
 	archs := fs.String("archs", "", "comma-separated target architectures: "+strings.Join(benchsuite.ArchNames(), ", "))
@@ -113,7 +112,6 @@ func runMatrix(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	warmup := fs.Int("warmup", 1, "discarded warm-up repetitions per case")
 	parallel := fs.Int("parallel", 1, "engine workers across cases (>1 only for plumbing smoke — parallel timing is noise)")
 	commit := fs.String("commit", "", "commit stamped into records (default: git rev-parse HEAD)")
-	handicap := fs.Float64("handicap", 0, "multiply recorded ns/op samples (gate self-test hook; 2 simulates a 2× slowdown)")
 	progress := fs.Bool("progress", false, "print one line per completed case")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -126,7 +124,7 @@ func runMatrix(ctx context.Context, args []string, stdout, stderr io.Writer) int
 			*reps = 3
 		}
 	} else {
-		cases, err = benchsuite.Matrix(splitList(*matrix, ","), splitList(*specs, ";"), splitList(*compilers, ","), splitList(*archs, ","))
+		cases, err = benchsuite.Matrix(splitList(*specs, ";"), splitList(*compilers, ","), splitList(*archs, ","))
 	}
 	if err != nil {
 		return fail(stderr, err)
@@ -138,11 +136,10 @@ func runMatrix(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		*commit = gitHead()
 	}
 	cfg := benchsuite.RunConfig{
-		Warmup:   *warmup,
-		Reps:     *reps,
-		Workers:  *parallel,
-		Commit:   *commit,
-		Handicap: *handicap,
+		Warmup:  *warmup,
+		Reps:    *reps,
+		Workers: *parallel,
+		Commit:  *commit,
 	}
 	if *progress {
 		cfg.Progress = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
@@ -167,12 +164,41 @@ func runMatrix(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	return 0
 }
 
+// runIngest appends one record per `go test -bench` result line read from
+// stdin to the store.
+func runIngest(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ingest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	storeDir := fs.String("store", defaultStore, "results store directory (JSON-lines, one shard per machine fingerprint)")
+	commit := fs.String("commit", "", "commit stamped into records (default: git rev-parse HEAD)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *commit == "" {
+		*commit = gitHead()
+	}
+	records, err := benchsuite.Ingest(stdin, *commit, time.Now())
+	if err != nil {
+		return fail(stderr, err)
+	}
+	store, err := benchsuite.OpenStore(*storeDir)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	if err := store.Append(records); err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprintf(stdout, "zac-benchsuite: %d benchmark results appended to %s (machine %s, commit %s)\n",
+		len(records), *storeDir, records[0].MachineID, shortSHA(*commit))
+	return 0
+}
+
 // runTrend prints one case's per-commit trajectory.
 func runTrend(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trend", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	storeDir := fs.String("store", defaultStore, "results store directory")
-	caseName := fs.String("case", "", "case name, e.g. micro/buildplan/qft_n18")
+	caseName := fs.String("case", "", "case name, e.g. zac/internal/place.BenchmarkBuildPlan/qft_n18")
 	last := fs.Int("last", 10, "number of most recent commits to show (0 = all)")
 	machine := fs.String("machine", "", "machine id (default: this machine)")
 	if err := fs.Parse(args); err != nil {
@@ -301,43 +327,11 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runExport writes the BENCH_N.json-format snapshot of the store.
-func runExport(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("export", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	storeDir := fs.String("store", defaultStore, "results store directory")
-	commit := fs.String("commit", "latest", "commit to export (default: most recent)")
-	machine := fs.String("machine", "", "machine id (default: this machine)")
-	out := fs.String("o", "", "output file (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	store, err := benchsuite.OpenStore(*storeDir)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if *machine == "" {
-		*machine = benchsuite.Machine().ID()
-	}
-	data, err := store.ExportBenchJSON(*machine, *commit)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if *out == "" {
-		stdout.Write(data)
-		return 0
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return fail(stderr, err)
-	}
-	fmt.Fprintf(stdout, "zac-benchsuite: wrote %s\n", *out)
-	return 0
-}
-
-// shortSHA truncates a commit for log lines.
+// shortSHA truncates a full hexadecimal commit hash for log lines; any
+// other label, such as bench-regress.sh's base-<run>-<sha>, prints whole.
 func shortSHA(sha string) string {
-	if len(sha) > 12 {
-		return sha[:12]
+	if len(sha) <= 12 || strings.Trim(sha, "0123456789abcdef") != "" {
+		return sha
 	}
-	return sha
+	return sha[:12]
 }

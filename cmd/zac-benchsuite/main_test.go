@@ -3,28 +3,47 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"zac/internal/benchsuite"
 )
 
-// cli drives the full CLI in-process and returns (exit code, stdout,
-// stderr).
+// cli drives the full CLI in-process with empty stdin and returns (exit
+// code, stdout, stderr).
 func cli(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
+	return cliIn(t, "", args...)
+}
+
+// cliIn is cli with the given stdin.
+func cliIn(t *testing.T, stdin string, args ...string) (int, string, string) {
+	t.Helper()
 	var out, errb bytes.Buffer
-	code := run(context.Background(), args, &out, &errb)
+	code := run(context.Background(), args, strings.NewReader(stdin), &out, &errb)
 	return code, out.String(), errb.String()
 }
 
-// The acceptance path of the observatory: a real smoke run populates the
-// store, and trend, report and export read it back. The gate's verdicts
-// are asserted on synthetic records with known sample vectors, written to
-// the same store beside the real run: a noise-only rerun passes and a
-// seeded 2× slowdown fails. Gating two real timing runs would make the
-// verdict depend on the machine's load.
+// benchOutput renders `go test -bench -benchmem -count N` text for the two
+// JV kernels, one result line per sample, each ns/op scaled by scale.
+func benchOutput(samples []float64, scale float64) string {
+	var b strings.Builder
+	b.WriteString("goos: linux\ngoarch: amd64\npkg: zac/internal/matching\n")
+	for _, name := range []string{"BenchmarkJVDense-2", "BenchmarkJVSparse-2"} {
+		for _, ns := range samples {
+			fmt.Fprintf(&b, "%s \t    1000\t %12.1f ns/op\t       0 B/op\t       0 allocs/op\n", name, ns*scale)
+		}
+	}
+	b.WriteString("PASS\nok  \tzac/internal/matching\t2.5s\n")
+	return b.String()
+}
+
+// The acceptance path of the observatory: a real smoke run of the compile
+// matrix populates the store, go-test transcripts are ingested beside it,
+// and trend, gate and report read them back. The gate's verdicts are
+// asserted on canned transcripts with known samples: a noise-only rerun
+// passes and the same rerun with ns/op doubled fails. Gating two real
+// timing runs would make the verdict depend on the machine's load.
 func TestSmokeStoreTrendAndGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles circuits in -short mode")
@@ -35,73 +54,54 @@ func TestSmokeStoreTrendAndGate(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("run exit %d\nstdout: %s\nstderr: %s", code, out, errs)
 	}
-	if !strings.Contains(out, "micro/jv_dense") {
+	if !strings.Contains(out, "compile/zac/") {
 		t.Fatalf("run output lacks cases:\n%s", out)
 	}
 
-	// Synthetic commits: commitB is a ±0.3% noise-only rerun of the
-	// baseline vector, commitC the same vector slowed 2×.
-	kernels := []string{"micro/jv_dense", "micro/jv_sparse"}
+	// commitB is a ±0.3% noise-only rerun of the baseline samples, commitC
+	// the same rerun with ns/op doubled.
 	base := []float64{100.2, 99.8, 100.1, 100.4, 99.9, 100.0, 100.3, 99.7, 100.1, 100.2}
 	noise := []float64{100.0, 100.3, 99.8, 100.2, 100.1, 99.9, 100.4, 99.8, 100.0, 100.2}
-	slow := make([]float64, len(base))
-	for i, x := range base {
-		slow[i] = 2 * x
-	}
-	var recs []benchsuite.Record
-	for _, c := range kernels {
-		recs = append(recs, synthetic("baseline", c, 1, base), synthetic("commitB", c, 2, noise), synthetic("commitC", c, 3, slow))
-	}
-	s, err := benchsuite.OpenStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(recs); err != nil {
-		t.Fatal(err)
+	for _, in := range []struct {
+		commit, text string
+	}{
+		{"baseline", benchOutput(base, 1)},
+		{"commitB", benchOutput(noise, 1)},
+		{"commitC", benchOutput(noise, 2)},
+	} {
+		code, out, errs := cliIn(t, in.text, "ingest", "-store", store, "-commit", in.commit)
+		if code != 0 || !strings.Contains(out, "20 benchmark results") {
+			t.Fatalf("ingest %s exit %d\nstdout: %s\nstderr: %s", in.commit, code, out, errs)
+		}
 	}
 
-	// Trend spans the real run and a synthetic one.
-	code, out, _ = cli(t, "trend", "-store", store, "-case", "micro/jv_dense", "-last", "10")
+	// Trend spans the ingested commits, each -count repeat one sample.
+	code, out, _ = cli(t, "trend", "-store", store, "-case", "zac/internal/matching.BenchmarkJVDense", "-last", "10")
 	if code != 0 {
 		t.Fatalf("trend exit %d", code)
 	}
-	if !strings.Contains(out, "commitA") || !strings.Contains(out, "commitB") {
-		t.Fatalf("trend does not span both runs:\n%s", out)
+	if !strings.Contains(out, "baseline") || !strings.Contains(out, "commitB") || !strings.Contains(out, "n=10") {
+		t.Fatalf("trend does not span the ingested runs:\n%s", out)
 	}
 
-	cases := strings.Join(kernels, ",")
-	code, out, _ = cli(t, "gate", "-store", store, "-baseline", "baseline", "-current", "commitB", "-cases", cases)
+	code, out, _ = cli(t, "gate", "-store", store, "-baseline", "baseline", "-current", "commitB")
 	if code != 0 {
 		t.Fatalf("noise-only gate exit %d, want 0:\n%s", code, out)
 	}
-	code, out, _ = cli(t, "gate", "-store", store, "-baseline", "baseline", "-current", "commitC", "-cases", cases)
+	code, out, _ = cli(t, "gate", "-store", store, "-baseline", "baseline", "-current", "commitC")
 	if code != 1 {
-		t.Fatalf("seeded 2× gate exit %d, want 1:\n%s", code, out)
+		t.Fatalf("doubled ns/op gate exit %d, want 1:\n%s", code, out)
 	}
-	if strings.Count(out, "FAIL") < len(kernels) {
-		t.Fatalf("seeded 2× gate output lacks a FAIL line per case:\n%s", out)
+	if strings.Count(out, "gate: FAIL ") < 2 {
+		t.Fatalf("doubled ns/op gate output lacks a FAIL line per case:\n%s", out)
 	}
 
-	// Reports and the BENCH_N.json export render from the real run.
-	if code, out, _ = cli(t, "report", "-store", store); code != 0 || !strings.Contains(out, "micro/jv_dense") {
+	// Reports render the compile cells and the ingested kernels.
+	if code, out, _ = cli(t, "report", "-store", store); code != 0 || !strings.Contains(out, "compile/zac/") || !strings.Contains(out, "BenchmarkJVSparse") {
 		t.Fatalf("report exit %d:\n%s", code, out)
 	}
 	if code, out, _ = cli(t, "report", "-store", store, "-format", "html"); code != 0 || !strings.Contains(out, "<table>") {
 		t.Fatalf("html report exit %d:\n%s", code, out)
-	}
-	if code, out, _ = cli(t, "export", "-store", store, "-commit", "commitA"); code != 0 || !strings.Contains(out, "BenchmarkJVDense") {
-		t.Fatalf("export exit %d:\n%s", code, out)
-	}
-}
-
-// synthetic returns a micro-kernel record of this machine with the given
-// ns/op samples.
-func synthetic(commit, name string, unix int64, samples []float64) benchsuite.Record {
-	m := benchsuite.Machine()
-	return benchsuite.Record{
-		Schema: benchsuite.SchemaVersion, Case: name, Kind: benchsuite.KindMicro,
-		Commit: commit, UnixTime: unix, Machine: m, MachineID: m.ID(),
-		Warmup: 1, InnerIters: 1, NsPerOp: samples,
 	}
 }
 
@@ -118,6 +118,20 @@ func TestCLIErrorExitCodes(t *testing.T) {
 	}
 	if code, _, _ := cli(t, "trend", "-store", t.TempDir(), "-case", "nope"); code != 2 {
 		t.Errorf("trend with empty store exit = %d, want 2", code)
+	}
+	for name, in := range map[string]string{
+		"an empty transcript":  "",
+		"a benchmark-less one": "pkg: zac/internal/matching\nPASS\nok  \tzac/internal/matching\t0.1s\n",
+		"a malformed number":   "pkg: zac/internal/matching\nBenchmarkJVDense-2 \t 100\t 4.1.0 ns/op\n",
+		"a FAIL line":          "pkg: zac/internal/matching\nBenchmarkJVDense-2 \t 100\t 410 ns/op\nFAIL\tzac/internal/matching\t0.1s\n",
+	} {
+		store := t.TempDir()
+		if code, _, _ := cliIn(t, in, "ingest", "-store", store, "-commit", "c"); code != 2 {
+			t.Errorf("ingest of %s exit = %d, want 2", name, code)
+		}
+		if code, _, _ := cli(t, "gate", "-store", store, "-baseline", "c", "-current", "c"); code != 2 {
+			t.Errorf("ingest of %s left records behind", name)
+		}
 	}
 }
 

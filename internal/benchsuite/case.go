@@ -1,41 +1,36 @@
 // Package benchsuite is the performance observatory of the reproduction
-// (RZBENCH/openhpca-style): a declarative run matrix of low-level micro
-// kernels (the PR-3 placement hot path) and application-level compilations
+// (RZBENCH/openhpca-style). Kernel numbers come from the go-test
+// benchmarks: Ingest turns `go test -bench -benchmem` output into records.
+// Application numbers come from a declarative run matrix of compilations
 // (forge workload families × registry compilers × architectures), executed
 // through the engine worker pool with warm-up and repetition control. Every
 // record is stamped with a machine fingerprint and a commit, appended to a
 // persistent JSON-lines store, and consumed by trend queries, markdown/HTML
 // report generators, and a benchstat-style Mann-Whitney regression gate —
-// so "measurably faster" is always a measured, statistically gated claim,
-// and BENCH_N.json is one export of this system instead of the system
-// itself.
+// so "measurably faster" is always a measured, statistically gated claim.
 package benchsuite
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
 	"zac/internal/arch"
-	"zac/internal/bench"
 	"zac/internal/circuit"
 	"zac/internal/compiler"
 	"zac/internal/core"
-	"zac/internal/matching"
-	"zac/internal/place"
 	"zac/internal/resynth"
-	"zac/internal/schedule"
 	"zac/internal/workload"
 )
 
-// Kind classifies a matrix case: a low-level micro kernel or an
+// Kind classifies a record: a go-test kernel benchmark or an
 // application-level compilation.
 type Kind string
 
-// The case kinds of the matrix. KindPass records are never declared as
-// cases: the runner derives them from a compile cell's pass probe, one
+// The record kinds. KindMicro records come from Ingest, one per go-test
+// benchmark result line. KindPass records are never declared as cases: the
+// runner derives them from a compile cell's pass probe, one
 // "<case>/pass/<name>" record per pipeline pass.
 const (
 	KindMicro   Kind = "micro"
@@ -47,25 +42,19 @@ const (
 // for a configurable number of repetitions. Setup cost (circuit generation,
 // preprocessing) is paid once outside the timed region.
 type Case struct {
-	// Name is the stable identifier of the cell, e.g. "micro/jv_dense" or
+	// Name is the stable identifier of the cell, e.g.
 	// "compile/zac/ref/rb:n=24,depth=16,seed=11". Store trends and gate
 	// pairings key on it.
 	Name string
-	// Kind is the case's class (micro or compile).
+	// Kind is the case's class.
 	Kind Kind
 	// ArchFP is the arch.Fingerprint of the architecture the case targets
-	// ("" for kernels without one).
+	// ("" for cases without one).
 	ArchFP string
 	// InnerIters is the number of operations folded into one timed
-	// repetition; sub-millisecond kernels use > 1 so a repetition rises
+	// repetition; sub-millisecond operations use > 1 so a repetition rises
 	// above timer granularity. Recorded ns/op samples are per operation.
 	InnerIters int
-	// Procs, when positive, pins runtime.GOMAXPROCS to this value for the
-	// duration of the cell (restored afterwards) — the scaling axis of the
-	// multi-core cells. Because GOMAXPROCS is process-global, a matrix
-	// containing any Procs > 0 cell must run with Workers == 1; Run refuses
-	// otherwise. 0 leaves the runtime untouched.
-	Procs int
 	// setup builds the case's op closure; called once per run, outside
 	// the timed region.
 	setup func() (func(ctx context.Context) error, error)
@@ -74,134 +63,6 @@ type Case struct {
 	// emits one satellite "<case>/pass/<name>" record per pass, so the gate
 	// can name the pass behind a compile-level regression.
 	passes func() []core.PassTiming
-}
-
-// Micro returns the low-level kernel cases: the PR-3 placement hot path
-// (JV dense/sparse assignment, SA initial placement, full BuildPlan),
-// mirroring the go-test micro-benchmarks gate for gate so the observatory
-// and `go test -bench` measure the same operations.
-func Micro() []Case {
-	refFP := arch.Reference().Fingerprint()
-	cases := []Case{
-		{
-			Name: "micro/jv_dense", Kind: KindMicro, InnerIters: 50,
-			setup: func() (func(context.Context) error, error) {
-				r := rand.New(rand.NewSource(3))
-				n := 80
-				flat := make([]float64, n*n)
-				for i := range flat {
-					flat[i] = r.Float64() * 100
-				}
-				var s matching.Solver
-				if _, _, err := s.SolveDense(n, n, flat); err != nil { // warm the scratch
-					return nil, err
-				}
-				return func(context.Context) error {
-					_, _, err := s.SolveDense(n, n, flat)
-					return err
-				}, nil
-			},
-		},
-		{
-			Name: "micro/jv_sparse", Kind: KindMicro, InnerIters: 50,
-			setup: func() (func(context.Context) error, error) {
-				r := rand.New(rand.NewSource(3))
-				n, m, deg := 40, 400, 25
-				rowStart := []int{0}
-				var cols []int
-				var costs []float64
-				for i := 0; i < n; i++ {
-					base := r.Intn(m - deg)
-					for d := 0; d < deg; d++ {
-						cols = append(cols, base+d)
-						costs = append(costs, r.Float64()*100)
-					}
-					rowStart = append(rowStart, len(cols))
-				}
-				var s matching.Solver
-				if _, _, err := s.SolveSparse(n, m, rowStart, cols, costs); err != nil {
-					return nil, err
-				}
-				return func(context.Context) error {
-					_, _, err := s.SolveSparse(n, m, rowStart, cols, costs)
-					return err
-				}, nil
-			},
-		},
-		{
-			Name: "micro/sa_initial", Kind: KindMicro, ArchFP: refFP, InnerIters: 1,
-			setup: func() (func(context.Context) error, error) {
-				a := arch.Reference()
-				staged, err := stagedBenchmark("qft_n18")
-				if err != nil {
-					return nil, err
-				}
-				return func(context.Context) error {
-					_, err := place.SAInitial(a, staged, 1000, rand.New(rand.NewSource(1)))
-					return err
-				}, nil
-			},
-		},
-	}
-	for _, name := range []string{"qft_n18", "ising_n42"} {
-		name := name
-		cases = append(cases, Case{
-			Name: "micro/buildplan/" + name, Kind: KindMicro, ArchFP: refFP, InnerIters: 1,
-			setup: func() (func(context.Context) error, error) {
-				a := arch.Reference()
-				staged, err := stagedBenchmark(name)
-				if err != nil {
-					return nil, err
-				}
-				return func(ctx context.Context) error {
-					_, err := place.BuildPlan(ctx, a, staged, place.Default())
-					return err
-				}, nil
-			},
-		})
-	}
-	// The multi-core scaling cells: BuildPlan with eight SA restarts plus
-	// the full schedule pass, pinned at GOMAXPROCS 1 and 8 with a matching
-	// worker budget. Comparing a cell against itself across commits catches
-	// scaling regressions; the gate refuses to compare gmp1 against gmp8.
-	for _, name := range []string{"qft_n18", "ising_n42"} {
-		for _, procs := range []int{1, 8} {
-			name, procs := name, procs
-			cases = append(cases, Case{
-				Name: fmt.Sprintf("micro/buildplan_sched/%s/gmp%d", name, procs),
-				Kind: KindMicro, ArchFP: refFP, InnerIters: 1, Procs: procs,
-				setup: func() (func(context.Context) error, error) {
-					a := arch.Reference()
-					staged, err := stagedBenchmark(name)
-					if err != nil {
-						return nil, err
-					}
-					opts := place.Default()
-					opts.SARestarts = 8
-					opts.Workers = procs
-					return func(ctx context.Context) error {
-						plan, err := place.BuildPlan(ctx, a, staged, opts)
-						if err != nil {
-							return err
-						}
-						_, err = schedule.BuildWithOptions(ctx, a, staged, plan, schedule.Options{Workers: procs})
-						return err
-					}, nil
-				},
-			})
-		}
-	}
-	return cases
-}
-
-// stagedBenchmark preprocesses one built-in paper benchmark into the staged
-// form the placement kernels consume.
-func stagedBenchmark(name string) (*circuit.Staged, error) {
-	bm, err := bench.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return resynth.Preprocess(bm.Build())
 }
 
 // Architectures names the target architectures the compile matrix can
@@ -334,44 +195,21 @@ func SmokeSpecs() []string {
 	return []string{"rb:n=8,depth=4,seed=1", "ising:n=12,layers=1"}
 }
 
-// Matrix builds the selected case set. kinds selects "micro", "compile", or
-// both (nil/empty = both); compile expansion uses the given specs,
-// compilers and architectures (empty compilers defaults to "zac", empty
-// specs to DefaultSpecs).
-func Matrix(kinds []string, specs, compilers, archs []string) ([]Case, error) {
-	want := map[string]bool{}
-	for _, k := range kinds {
-		want[strings.ToLower(strings.TrimSpace(k))] = true
+// Matrix expands the compile matrix over the given specs, compilers and
+// architectures; empty specs default to DefaultSpecs and empty compilers
+// to "zac".
+func Matrix(specs, compilers, archs []string) ([]Case, error) {
+	if len(specs) == 0 {
+		specs = DefaultSpecs()
 	}
-	all := len(want) == 0 || want["all"]
-	var cases []Case
-	if all || want[string(KindMicro)] {
-		cases = append(cases, Micro()...)
+	if len(compilers) == 0 {
+		compilers = []string{"zac"}
 	}
-	if all || want[string(KindCompile)] {
-		if len(specs) == 0 {
-			specs = DefaultSpecs()
-		}
-		if len(compilers) == 0 {
-			compilers = []string{"zac"}
-		}
-		cc, err := Compile(specs, compilers, archs)
-		if err != nil {
-			return nil, err
-		}
-		cases = append(cases, cc...)
-	}
-	return cases, nil
+	return Compile(specs, compilers, archs)
 }
 
-// SmokeMatrix is the 1-to-few-second matrix CI runs: the two JV kernels
-// plus ZAC over the smoke specs on the default architecture.
+// SmokeMatrix is the few-second matrix CI runs: ZAC over the smoke specs
+// on the default architecture.
 func SmokeMatrix() ([]Case, error) {
-	micro := Micro()
-	cases := []Case{micro[0], micro[1]} // jv_dense, jv_sparse
-	cc, err := Compile(SmokeSpecs(), []string{"zac"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return append(cases, cc...), nil
+	return Compile(SmokeSpecs(), []string{"zac"}, nil)
 }

@@ -24,9 +24,10 @@ const SchemaVersion = 2
 type Record struct {
 	// Schema is the record format version (SchemaVersion at write time).
 	Schema int `json:"schema"`
-	// Case is the matrix cell name (Case.Name).
+	// Case is the matrix cell name (Case.Name) or, for an ingested
+	// benchmark, its package-qualified name (see Ingest).
 	Case string `json:"case"`
-	// Kind is the cell's class (micro or compile).
+	// Kind is the record's class (micro, compile or pass).
 	Kind Kind `json:"kind"`
 	// Commit is the VCS revision of the measured tree.
 	Commit string `json:"commit"`
@@ -41,15 +42,16 @@ type Record struct {
 	// kernels without one).
 	ArchFP string `json:"arch_fp,omitempty"`
 	// Warmup and InnerIters record how the sample was taken: Warmup
-	// discarded repetitions, InnerIters operations per timed repetition.
+	// discarded repetitions, InnerIters operations per timed repetition
+	// (for an ingested benchmark, its b.N).
 	Warmup     int `json:"warmup"`
 	InnerIters int `json:"inner_iters"`
-	// Procs is the effective runtime.GOMAXPROCS the cell ran under —
-	// Case.Procs when the cell pinned it, the ambient value otherwise. The
-	// gate refuses to compare records whose Procs differ, exactly like an
-	// architecture-fingerprint change. omitempty keeps pre-existing store
-	// lines (which carry no field, i.e. 0 = unknown) comparable with each
-	// other.
+	// Procs is the runtime.GOMAXPROCS the measurement ran under: the
+	// ambient value for a matrix cell, the "-P" name suffix for an ingested
+	// benchmark. The gate refuses to compare records whose Procs differ,
+	// exactly like an architecture-fingerprint change. omitempty keeps
+	// pre-existing store lines (which carry no field, i.e. 0 = unknown)
+	// comparable with each other.
 	Procs int `json:"gomaxprocs,omitempty"`
 	// NsPerOp holds one per-operation nanosecond sample per timed
 	// repetition — the raw material of the Mann-Whitney gate.
@@ -80,10 +82,6 @@ type RunConfig struct {
 	Commit string
 	// Now stamps the records' capture time (time.Now when zero).
 	Now time.Time
-	// Handicap multiplies every recorded ns/op sample (0 or 1 = none).
-	// It exists to self-test the regression gate: a run with -handicap 2
-	// must be flagged against an unmodified baseline.
-	Handicap float64
 	// Progress, when non-nil, receives one line per completed cell.
 	Progress func(format string, args ...any)
 }
@@ -105,9 +103,6 @@ func (c RunConfig) normalized() RunConfig {
 	if c.Now.IsZero() {
 		c.Now = time.Now()
 	}
-	if c.Handicap == 0 {
-		c.Handicap = 1
-	}
 	return c
 }
 
@@ -120,15 +115,6 @@ func (c RunConfig) normalized() RunConfig {
 // cfg's commit stamp.
 func Run(ctx context.Context, cases []Case, cfg RunConfig) ([]Record, error) {
 	cfg = cfg.normalized()
-	if cfg.Workers > 1 {
-		// GOMAXPROCS is process-global: a Procs-pinning cell running next
-		// to any other cell would silently distort both measurements.
-		for _, c := range cases {
-			if c.Procs > 0 {
-				return nil, fmt.Errorf("benchsuite: case %s pins GOMAXPROCS; the matrix must run with Workers=1, got %d", c.Name, cfg.Workers)
-			}
-		}
-	}
 	fp := Machine()
 	perCase, err := engine.Map(ctx, cfg.Workers, len(cases), func(i int) ([]Record, error) {
 		recs, err := runCase(ctx, cases[i], cfg, fp)
@@ -162,11 +148,6 @@ func runCase(ctx context.Context, c Case, cfg RunConfig, fp Fingerprint) ([]Reco
 		return nil, err
 	}
 	procs := runtime.GOMAXPROCS(0)
-	if c.Procs > 0 && c.Procs != procs {
-		prev := runtime.GOMAXPROCS(c.Procs)
-		defer runtime.GOMAXPROCS(prev)
-		procs = c.Procs
-	}
 	inner := c.InnerIters
 	if inner <= 0 {
 		inner = 1
@@ -193,10 +174,9 @@ func runCase(ctx context.Context, c Case, cfg RunConfig, fp Fingerprint) ([]Reco
 		}
 		ns := float64(time.Since(start).Nanoseconds()) / float64(inner)
 		runtime.ReadMemStats(&msAfter)
-		samples = append(samples, ns*cfg.Handicap)
+		samples = append(samples, ns)
 		// TotalAlloc and Mallocs are monotonic, so concurrent GC cannot make
-		// the deltas go backwards; the handicap multiplier is a timing
-		// self-test knob and deliberately leaves allocation samples honest.
+		// the deltas go backwards.
 		bytesPer = append(bytesPer, float64(msAfter.TotalAlloc-msBefore.TotalAlloc)/float64(inner))
 		allocsPer = append(allocsPer, float64(msAfter.Mallocs-msBefore.Mallocs)/float64(inner))
 		if c.passes != nil {
@@ -207,7 +187,7 @@ func runCase(ctx context.Context, c Case, cfg RunConfig, fp Fingerprint) ([]Reco
 					passOrder = append(passOrder, pt.Pass)
 				}
 				passSamples[pt.Pass] = append(passSamples[pt.Pass],
-					float64(pt.Duration.Nanoseconds())*cfg.Handicap)
+					float64(pt.Duration.Nanoseconds()))
 			}
 		}
 	}

@@ -206,47 +206,20 @@ func (s *Store) Cases(machineID string) ([]string, error) {
 	return names, nil
 }
 
-// Commits lists the distinct commits recorded for one machine in
-// first-appended order (oldest first).
-func (s *Store) Commits(machineID string) ([]string, error) {
+// AtCommit returns one machine's records for a commit, in append order.
+// Two special names resolve against the machine's append history: "latest"
+// is the commit of the most recently appended record, "previous" the most
+// recently appended commit other than it. A commit measured again after
+// others is therefore "latest" again, not buried at its first appearance.
+func (s *Store) AtCommit(machineID, commit string) ([]Record, error) {
 	records, err := s.Records(machineID)
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	var commits []string
-	for _, r := range records {
-		if !seen[r.Commit] {
-			seen[r.Commit] = true
-			commits = append(commits, r.Commit)
-		}
-	}
-	return commits, nil
-}
-
-// AtCommit returns one machine's records for a commit, in append order.
-// Two special names resolve against the machine's commit history: "latest"
-// is the most recently appended commit, "previous" the one before it (how
-// the bench-regress gate names "the commit the last observatory run
-// measured").
-func (s *Store) AtCommit(machineID, commit string) ([]Record, error) {
 	if commit == "latest" || commit == "previous" {
-		commits, err := s.Commits(machineID)
-		if err != nil {
-			return nil, err
-		}
-		back := 1
-		if commit == "previous" {
-			back = 2
-		}
-		if len(commits) < back {
+		if commit = resolveAlias(records, commit); commit == "" {
 			return nil, nil
 		}
-		commit = commits[len(commits)-back]
-	}
-	records, err := s.Records(machineID)
-	if err != nil {
-		return nil, err
 	}
 	var out []Record
 	for _, r := range records {
@@ -257,72 +230,21 @@ func (s *Store) AtCommit(machineID, commit string) ([]Record, error) {
 	return out, nil
 }
 
-// ExportBenchJSON renders one machine's latest-commit medians in the
-// BENCH_N.json format the bench-compare/bench-regress scripts exchange —
-// the committed snapshot becomes one export of the store instead of the
-// primary artifact. Only micro cases are exported (the script gate runs
-// the micro pattern), mapped back to their go-test benchmark names.
-func (s *Store) ExportBenchJSON(machineID, commit string) ([]byte, error) {
-	records, err := s.AtCommit(machineID, commit)
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("benchsuite: no records for machine %s at commit %q", machineID, commit)
-	}
-	names := map[string]string{
-		"micro/jv_dense":            "BenchmarkJVDense",
-		"micro/jv_sparse":           "BenchmarkJVSparse",
-		"micro/sa_initial":          "BenchmarkSAInitial",
-		"micro/buildplan/qft_n18":   "BenchmarkBuildPlan/qft_n18",
-		"micro/buildplan/ising_n42": "BenchmarkBuildPlan/ising_n42",
-
-		"micro/buildplan_sched/qft_n18/gmp1":   "BenchmarkBuildPlanSched/qft_n18/gmp1",
-		"micro/buildplan_sched/qft_n18/gmp8":   "BenchmarkBuildPlanSched/qft_n18/gmp8",
-		"micro/buildplan_sched/ising_n42/gmp1": "BenchmarkBuildPlanSched/ising_n42/gmp1",
-		"micro/buildplan_sched/ising_n42/gmp8": "BenchmarkBuildPlanSched/ising_n42/gmp8",
-	}
-	type entry struct {
-		name      string
-		ns        float64
-		b, allocs float64
-		hasAlloc  bool
-	}
-	var entries []entry
-	commitSHA := records[0].Commit
-	for _, r := range records {
-		goName, ok := names[r.Case]
-		if !ok {
-			continue
+// resolveAlias maps "latest" or "previous" to a commit by scanning records
+// from the newest append backwards; "" when the history is too short.
+func resolveAlias(records []Record, alias string) string {
+	latest := ""
+	for i := len(records) - 1; i >= 0; i-- {
+		c := records[i].Commit
+		switch {
+		case latest == "":
+			if alias == "latest" {
+				return c
+			}
+			latest = c
+		case c != latest:
+			return c
 		}
-		e := entry{name: goName, ns: stats.Median(r.NsPerOp)}
-		// Schema-1 records carry no allocation vectors; they export as null,
-		// exactly what a pre-observatory BENCH_N.json held.
-		if len(r.BPerOp) > 0 {
-			e.b, e.allocs, e.hasAlloc = stats.Median(r.BPerOp), stats.Median(r.AllocsPerOp), true
-		}
-		entries = append(entries, e)
 	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("benchsuite: no micro records for machine %s at commit %q", machineID, commit)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\n")
-	fmt.Fprintf(&b, "  \"baseline_ref\": \"benchsuite-store\",\n")
-	fmt.Fprintf(&b, "  \"baseline_sha\": %q,\n", commitSHA)
-	fmt.Fprintf(&b, "  \"benchtime\": \"store\",\n")
-	fmt.Fprintf(&b, "  \"current\": {")
-	for i, e := range entries {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		bOp, allocsOp := "null", "null"
-		if e.hasAlloc {
-			bOp, allocsOp = fmt.Sprintf("%g", e.b), fmt.Sprintf("%g", e.allocs)
-		}
-		fmt.Fprintf(&b, "\n    %q: {\"ns_op\": %g, \"b_op\": %s, \"allocs_op\": %s}", e.name, e.ns, bOp, allocsOp)
-	}
-	fmt.Fprintf(&b, "\n  }\n}\n")
-	return []byte(b.String()), nil
+	return ""
 }

@@ -132,35 +132,56 @@ func TestBuildPlanCancelParallel(t *testing.T) {
 	}
 }
 
-// TestScheduleCancelParallel aborts the parallel schedule pass (conflict
-// graph build on 4 workers) mid-flight: clean context.Canceled, no leaked
-// workers, and a pre-cancelled context never starts.
+// TestScheduleCancelParallel aborts the schedule pass at each of its
+// context checks in turn. ising_n98 is the paper circuit whose movement
+// phases reach the conflict graph's parallel threshold, so at Workers=4
+// the row scan fans out to goroutines that wait on the context; at
+// Workers=1 every check runs on the calling goroutine and each one must
+// abort the run. Every abort reports context.Canceled and leaks no
+// worker, and a pre-cancelled context never starts.
 func TestScheduleCancelParallel(t *testing.T) {
 	a := arch.Reference()
-	staged := stagedBench(t, "ising_n42") // wide stages → many moves per phase
+	staged := stagedBench(t, "ising_n98")
 	plan, err := place.BuildPlan(context.Background(), a, staged, place.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := schedule.Options{Workers: workers}
+			baseline := runtime.NumGoroutine()
 
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := schedule.BuildWithOptions(pre, a, staged, plan, schedule.Options{Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled schedule: err = %v, want context.Canceled", err)
-	}
-
-	for _, delay := range []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond} {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(delay)
+			pre, cancel := context.WithCancel(context.Background())
 			cancel()
-		}()
-		_, err := schedule.BuildWithOptions(ctx, a, staged, plan, schedule.Options{Workers: 4})
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled schedule: err = %v, want context.Canceled or nil", err)
-		}
-		cancel()
+			if _, err := schedule.BuildWithOptions(pre, a, staged, plan, opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-cancelled schedule: err = %v, want context.Canceled", err)
+			}
+
+			// A full run counts the checks the sweep will cancel at, and
+			// shows whether the parallel conflict graph ran at all.
+			full := newCountdownCtx(math.MaxInt64)
+			if _, err := schedule.BuildWithOptions(full, a, staged, plan, opts); err != nil {
+				t.Fatal(err)
+			}
+			checks, waits := full.calls.Load(), full.doneCalls.Load()
+			t.Logf("full run: %d context checks, %d waits from other goroutines", checks, waits)
+			if workers == 1 && waits != 0 {
+				t.Error("Workers=1 schedule waited on its context from another goroutine")
+			}
+			if workers > 1 && waits == 0 {
+				t.Fatal("Workers=4 schedule never reached the parallel conflict graph")
+			}
+
+			for k := int64(1); k <= checks; k++ {
+				_, err := schedule.BuildWithOptions(newCountdownCtx(k), a, staged, plan, opts)
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled at check %d: err = %v, want context.Canceled or nil", k, err)
+				}
+				if workers == 1 && err == nil {
+					t.Fatalf("cancelled at check %d of %d: schedule finished", k, checks)
+				}
+			}
+			settleGoroutines(t, baseline)
+		})
 	}
-	settleGoroutines(t, baseline)
 }

@@ -11,11 +11,11 @@ import (
 	"zac/internal/resynth"
 )
 
-// Micro-benchmarks over the placement hot path (ISSUE 3): run with
+// Micro-benchmarks over the placement hot path: run with
 //
 //	go test ./internal/place -run xxx -bench 'BenchmarkSAInitial|BenchmarkBuildPlan' -benchmem
 //
-// or via scripts/bench-compare.sh, which also diffs against a git ref.
+// or via scripts/bench-regress.sh, which gates them A/B against a git ref.
 
 func stagedFor(b *testing.B, name string) *circuit.Staged {
 	b.Helper()

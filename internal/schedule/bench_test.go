@@ -13,15 +13,17 @@ import (
 	"zac/internal/resynth"
 )
 
-// Multi-core scaling benchmark over the parallelized compile hot path
-// (ISSUE 9): placement with eight SA restarts plus the full schedule pass,
+// Multi-core scaling benchmark over the parallelized compile hot path:
+// placement with eight SA restarts plus the full schedule pass,
 // pinned at GOMAXPROCS 1 and 8 with a matching intra-compile worker budget.
 // It lives in this package (not place) because it drives both passes and
 // schedule already imports place. Run with
 //
 //	go test ./internal/schedule -run xxx -bench BenchmarkBuildPlanSched
 //
-// The benchsuite mirrors these cells as micro/buildplan_sched/<circuit>/gmpN.
+// scripts/bench-regress.sh gates each cell; the "-P" suffix go test prints
+// is the ambient GOMAXPROCS, not the pinned one, so the cell name carries
+// the pin.
 
 func stagedFor(b *testing.B, name string) *circuit.Staged {
 	b.Helper()

@@ -1,292 +1,74 @@
 #!/usr/bin/env bash
-# bench-regress.sh [--rebase [ref]] [baseline.json]
+# bench-regress.sh [ref]
 #
-# Regression gate over the PR-3 placement micro-benchmarks, routed through
-# the performance observatory (cmd/zac-benchsuite) when it can say
-# something statistically defensible:
+# Kernel regression gate: the go-test benchmarks in PATTERN, measured A/B
+# on this machine and judged by the benchsuite store's Mann-Whitney gate.
 #
-#   1. Statistical route (default): the observatory runs the micro matrix
-#      with BENCH_REPS repetitions into the persistent store BENCH_STORE,
-#      then gates the fresh samples against the store's previous commit on
-#      THIS machine with a Mann-Whitney U test (significance BENCH_ALPHA,
-#      practical floor BENCH_MIN_DELTA_PCT). Cross-machine records are
-#      never compared — the store shards by machine fingerprint. BENCH_OUT
-#      becomes an export of the store.
-#   2. Threshold fallback: when the store has no comparable baseline yet
-#      (first run on a machine, fresh CI checkout) or repetitions are too
-#      few for the test, the legacy gate below applies: run the go-test
-#      micro-benchmarks and fail when any is more than THRESHOLD_PCT
-#      percent slower than the recorded baseline's "current" block
-#      (default: BENCH_3.json), writing fresh numbers to BENCH_OUT
-#      (default BENCH_4.json) in the bench-compare.sh format. Uses
-#      benchstat for the human-readable diff when installed; the gate
-#      itself is self-contained.
+#   1. ref (default HEAD) is checked out into a throwaway directory with
+#      git archive, which leaves no worktree registered if the run dies.
+#   2. BENCH_REPS pairs of runs alternate between ref and the working tree;
+#      each `go test -bench -benchmem` run is piped through
+#      `zac-benchsuite ingest` into BENCH_STORE under one of two labels,
+#      base-<run>-<ref sha> and tree-<run>-<HEAD sha>. <run> is the start
+#      time, so the labels differ even when ref is HEAD and a rerun never
+#      merges with an earlier one.
+#   3. The exit status is `zac-benchsuite gate`'s verdict: 0 no regression,
+#      1 a significant slowdown beyond BENCH_MIN_DELTA_PCT, 2 an error.
 #
-# With --rebase the recorded numbers are not trusted at all: the commit
-# that last touched the committed baseline (the tree whose working-tree run
-# produced its "current" block; overridable by the optional ref argument or
-# REBASE_REF) is checked out into a throwaway worktree, the same benchmarks
-# are run there ON THIS MACHINE, and the gate compares working tree vs that
-# locally measured baseline (written to REBASE_OUT, default
-# BENCH_local.json). That makes the THRESHOLD_PCT gate meaningful on any
-# hardware — committed BENCH_N.json numbers only ever describe the machine
-# that recorded them.
+# Both sides run on the same machine within one script run, so no
+# recorded baseline from another machine enters the verdict.
 #
 # Environment:
-#   BENCH_STORE    observatory store dir (default .zac-benchstore); set
-#                  BENCH_SUITE=0 to skip the statistical route entirely
-#   BENCH_REPS    observatory repetitions per case (default 10; values
-#                  below 5 force the threshold fallback by construction)
-#   BENCH_ALPHA    Mann-Whitney significance level (default 0.05)
+#   BENCH_STORE          store directory (default .zac-benchstore)
+#   BENCH_REPS           run pairs, i.e. samples per benchmark and side
+#                        (default 10; the gate needs at least 5)
+#   BENCHTIME            go test -benchtime (default 200ms; at 20x the
+#                        sub-ms JV kernels drift tens of percent between
+#                        identical runs)
+#   BENCH_ALPHA          Mann-Whitney significance level (default 0.05)
 #   BENCH_MIN_DELTA_PCT  practical-significance floor in percent (default 3)
-#   BENCHTIME      go test -benchtime value (default 20x; the sub-ms JV
-#                  benchmarks are too noisy at lower iteration counts to
-#                  gate on)
-#   BENCH_OUT      output path (default BENCH_4.json)
-#   THRESHOLD_PCT  max tolerated slowdown in percent (default 20; also the
-#                  statistical route's fallback threshold)
-#   REBASE_REF     git ref to regenerate the baseline from (--rebase;
-#                  default: the commit that last touched the baseline
-#                  file, falling back to HEAD)
-#   REBASE_OUT     locally regenerated baseline path (default BENCH_local.json)
+#   PATTERN              go test -bench regexp (default: the placement and
+#                        scheduling kernels below)
+#   PKGS                 packages holding them
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REBASE=0
-if [ "${1:-}" = "--rebase" ]; then
-  REBASE=1
-  shift
-  # An optional ref may follow --rebase; a *.json argument is the baseline.
-  case "${1:-}" in
-    ''|*.json) ;;
-    *) REBASE_REF="$1"; shift ;;
-  esac
-fi
+REF="${1:-HEAD}"
+STORE="${BENCH_STORE:-.zac-benchstore}"
+REPS="${BENCH_REPS:-10}"
+BENCHTIME="${BENCHTIME:-200ms}"
+PATTERN="${PATTERN:-BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched}"
+PKGS="${PKGS:-./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule}"
 
-BASELINE="${1:-BENCH_3.json}"
-BENCHTIME="${BENCHTIME:-20x}"
-OUT="${BENCH_OUT:-BENCH_4.json}"
-THRESHOLD_PCT="${THRESHOLD_PCT:-20}"
-# BenchmarkBuildPlanSched carries the multi-core scaling cells (gmp1/gmp8);
-# PATTERN/PKGS are overridable for targeted runs. The threshold gate only
-# checks names present in the baseline, so cells newer than BENCH_3.json are
-# recorded but not gated on the fallback path.
-PATTERN="${PATTERN:-BenchmarkJVDense|BenchmarkJVSparse|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched}"
-PKGS="${PKGS:-./internal/matching ./internal/place ./internal/schedule}"
-
-if [ ! -f "$BASELINE" ]; then
-  echo "bench-regress: baseline $BASELINE not found" >&2
-  exit 1
-fi
-
-RAW="$(mktemp)"
-CUR_TSV="$(mktemp)"
-REF_TSV="$(mktemp)"
-WORKDIR=""
-TOOLDIR=""
-cleanup() {
-  rm -f "$RAW" "$CUR_TSV" "$REF_TSV"
-  if [ -n "$WORKDIR" ]; then
-    git worktree remove --force "$WORKDIR/ref" >/dev/null 2>&1 || true
-    rm -rf "$WORKDIR"
-  fi
-  if [ -n "$TOOLDIR" ]; then
-    rm -rf "$TOOLDIR"
-  fi
+REF_SHA="$(git rev-parse --verify --quiet "$REF^{commit}")" || {
+  echo "bench-regress: $REF is not a commit" >&2
+  exit 2
 }
-trap cleanup EXIT
+RUN="$(date -u +%Y%m%dT%H%M%SZ)"
+BASE="base-$RUN-$REF_SHA"
+TREE="tree-$RUN-$(git rev-parse HEAD)"
 
-# ---------------------------------------------------------------------------
-# Statistical route: observatory run + Mann-Whitney gate vs the store's
-# previous commit on this machine. Falls through to the legacy threshold
-# gate when no comparable baseline exists yet (gate exit 2).
-if [ "$REBASE" -eq 0 ] && [ "${BENCH_SUITE:-1}" != "0" ]; then
-  STORE="${BENCH_STORE:-.zac-benchstore}"
-  REPS="${BENCH_REPS:-10}"
-  TOOLDIR="$(mktemp -d)"
-  if go build -o "$TOOLDIR/zac-benchsuite" ./cmd/zac-benchsuite; then
-    echo "bench-regress: observatory micro matrix ($REPS reps) into $STORE" >&2
-    "$TOOLDIR/zac-benchsuite" run -matrix micro -reps "$REPS" -store "$STORE" >&2
-    GATE=0
-    "$TOOLDIR/zac-benchsuite" gate -store "$STORE" -baseline previous -current latest \
-      -alpha "${BENCH_ALPHA:-0.05}" -min-delta "${BENCH_MIN_DELTA_PCT:-3}" \
-      -threshold "$THRESHOLD_PCT" >&2 || GATE=$?
-    if [ "$GATE" -eq 0 ] || [ "$GATE" -eq 1 ]; then
-      "$TOOLDIR/zac-benchsuite" export -store "$STORE" -o "$OUT" >&2 || true
-      if [ "$GATE" -ne 0 ]; then
-        echo "bench-regress: FAILED — the statistical gate flagged a regression vs the store's previous commit" >&2
-        exit 1
-      fi
-      echo "bench-regress: statistical gate passed; $OUT exported from $STORE" >&2
-      exit 0
-    fi
-    echo "bench-regress: no comparable baseline in $STORE yet (first run on this machine?); falling back to the ${THRESHOLD_PCT}% threshold gate vs $BASELINE" >&2
-  else
-    echo "bench-regress: zac-benchsuite failed to build; falling back to the threshold gate" >&2
-  fi
-fi
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+mkdir "$WORK/ref"
+git archive "$REF_SHA" | tar -x -C "$WORK/ref"
+go build -o "$WORK/zac-benchsuite" ./cmd/zac-benchsuite
 
-if [ "$REBASE" -eq 1 ]; then
-  # Resolve the rebase ref: explicit argument/env, else the commit that
-  # last touched the baseline file (whose tree produced its "current"
-  # numbers — the recorded "baseline_sha" is the PREVIOUS PR's ref and
-  # predates those benchmarks), else HEAD.
-  if [ -z "${REBASE_REF:-}" ]; then
-    REBASE_REF="$(git log -n1 --format=%H -- "$BASELINE" 2>/dev/null || true)"
-  fi
-  if [ -z "${REBASE_REF:-}" ] || ! git rev-parse --verify --quiet "${REBASE_REF}^{commit}" >/dev/null; then
-    echo "bench-regress: --rebase: ref '${REBASE_REF:-}' not resolvable; using HEAD" >&2
-    REBASE_REF=HEAD
-  fi
-  REBASE_OUT="${REBASE_OUT:-BENCH_local.json}"
-  WORKDIR="$(mktemp -d)"
-  echo "bench-regress: --rebase: measuring baseline $REBASE_REF on this machine" >&2
-  git worktree add --detach "$WORKDIR/ref" "$REBASE_REF" >/dev/null
-  REBASE_RAW="$WORKDIR/raw.txt"
-  (cd "$WORKDIR/ref" && go test -run xxx -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" $PKGS) | tee "$REBASE_RAW" >&2
-  awk '/^Benchmark/ {
-      name = $1; sub(/-[0-9]+$/, "", name)
-      ns = "null"; bop = "null"; aop = "null"
-      for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")     ns  = $(i-1)
-        if ($i == "B/op")      bop = $(i-1)
-        if ($i == "allocs/op") aop = $(i-1)
-      }
-      print name "\t" ns "\t" bop "\t" aop
-    }' "$REBASE_RAW" > "$WORKDIR/ref.tsv"
-  if [ ! -s "$WORKDIR/ref.tsv" ]; then
-    echo "bench-regress: --rebase: no benchmarks at $REBASE_REF" >&2
-    exit 1
-  fi
-  # Emit the local baseline in the bench-compare format, so the rest of the
-  # script (and future runs passing it as [baseline.json]) consume it
-  # unchanged.
-  awk -v ref="$REBASE_REF" -v refsha="$(git rev-parse "$REBASE_REF")" -v benchtime="$BENCHTIME" '
-    function emit(file,   line, f, sep, out) {
-      sep = ""; out = ""
-      while ((getline line < file) > 0) {
-        split(line, f, "\t")
-        out = out sep sprintf("\n    \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", f[1], f[2], f[3], f[4])
-        sep = ","
-      }
-      close(file)
-      return out
-    }
-    BEGIN {
-      printf "{\n"
-      printf "  \"baseline_ref\": \"%s\",\n", ref
-      printf "  \"baseline_sha\": \"%s\",\n", refsha
-      printf "  \"benchtime\": \"%s\",\n", benchtime
-      printf "  \"rebased\": true,\n"
-      printf "  \"current\": {%s\n  }\n", emit(ARGV[1])
-      printf "}\n"
-    }
-  ' "$WORKDIR/ref.tsv" > "$REBASE_OUT"
-  echo "bench-regress: --rebase: wrote local baseline $REBASE_OUT (ref $REBASE_REF)" >&2
-  BASELINE="$REBASE_OUT"
-fi
+# bench <dir> <label>: one benchmark run of the tree in dir into the store.
+# -p 1 keeps the go command from linking one package's test binary while
+# another package's benchmarks run. A failing build or benchmark is an
+# error (exit 2), never a verdict.
+bench() {
+  (cd "$1" && go test -p 1 -run xxx -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" $PKGS) \
+    | "$WORK/zac-benchsuite" ingest -store "$STORE" -commit "$2" >&2
+}
 
-echo "bench-regress: running micro-benchmarks (benchtime $BENCHTIME) against $BASELINE" >&2
-go test -run xxx -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" $PKGS | tee "$RAW" >&2
+echo "bench-regress: $REPS pairs at benchtime $BENCHTIME, $REF (${REF_SHA:0:12}) vs the working tree" >&2
+for i in $(seq 1 "$REPS"); do
+  echo "bench-regress: pair $i/$REPS" >&2
+  bench "$WORK/ref" "$BASE" || exit 2
+  bench . "$TREE" || exit 2
+done
 
-awk '/^Benchmark/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
-    ns = "null"; bop = "null"; aop = "null"
-    for (i = 2; i <= NF; i++) {
-      if ($i == "ns/op")     ns  = $(i-1)
-      if ($i == "B/op")      bop = $(i-1)
-      if ($i == "allocs/op") aop = $(i-1)
-    }
-    print name "\t" ns "\t" bop "\t" aop
-  }' "$RAW" > "$CUR_TSV"
-
-# Extract the baseline's "current" block as the reference numbers.
-awk '
-  /"current": \{/ { in_cur = 1; next }
-  in_cur && /^  \},?$/ { in_cur = 0 }
-  in_cur {
-    line = $0
-    if (match(line, /"[^"]+": \{"ns_op": [0-9.e+-]+, "b_op": [0-9.e+-]+(, "allocs_op": [0-9.e+-]+)?\}/)) {
-      name = line; sub(/^[ ]*"/, "", name); sub(/".*/, "", name)
-      ns = line; sub(/.*"ns_op": /, "", ns); sub(/[,}].*/, "", ns)
-      bop = line; sub(/.*"b_op": /, "", bop); sub(/[,}].*/, "", bop)
-      aop = line
-      if (aop ~ /"allocs_op"/) { sub(/.*"allocs_op": /, "", aop); sub(/[,}].*/, "", aop) } else { aop = "null" }
-      print name "\t" ns "\t" bop "\t" aop
-    }
-  }
-' "$BASELINE" > "$REF_TSV"
-
-if [ ! -s "$REF_TSV" ]; then
-  echo "bench-regress: no benchmarks found in $BASELINE" >&2
-  exit 1
-fi
-
-# Optional benchstat-style context when the tool happens to be installed.
-if command -v benchstat >/dev/null 2>&1; then
-  benchstat <(awk -F'\t' '{print $1 " 1 " $2 " ns/op"}' "$REF_TSV") \
-            <(awk -F'\t' '{print $1 " 1 " $2 " ns/op"}' "$CUR_TSV") >&2 || true
-fi
-
-FAIL=0
-while IFS=$'\t' read -r name ref_ns _ _; do
-  cur_ns=$(awk -F'\t' -v n="$name" '$1 == n { print $2 }' "$CUR_TSV")
-  if [ -z "$cur_ns" ] || [ "$cur_ns" = "null" ]; then
-    echo "bench-regress: FAIL $name: present in baseline but not in current run" >&2
-    FAIL=1
-    continue
-  fi
-  verdict=$(awk -v cur="$cur_ns" -v ref="$ref_ns" -v pct="$THRESHOLD_PCT" \
-    'BEGIN { limit = ref * (1 + pct / 100); printf "%s %.1f", (cur > limit ? "FAIL" : "ok"), 100 * (cur / ref - 1) }')
-  state="${verdict%% *}"
-  delta="${verdict##* }"
-  echo "bench-regress: $state $name: ${cur_ns} ns/op vs baseline ${ref_ns} ns/op (${delta}%)" >&2
-  if [ "$state" = "FAIL" ]; then
-    FAIL=1
-  fi
-done < "$REF_TSV"
-
-REF_LABEL="$BASELINE"
-awk -v ref="$REF_LABEL" -v refsha="$(git rev-parse HEAD 2>/dev/null || echo unknown)" -v benchtime="$BENCHTIME" '
-  function emit(file,   line, f, sep, out) {
-    sep = ""; out = ""
-    while ((getline line < file) > 0) {
-      split(line, f, "\t")
-      out = out sep sprintf("\n    \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", f[1], f[2], f[3], f[4])
-      sep = ","
-    }
-    close(file)
-    return out
-  }
-  function speedups(curf, reff,   line, f, cur, out, sep) {
-    while ((getline line < curf) > 0) { split(line, f, "\t"); cur[f[1]] = f[2] }
-    close(curf)
-    sep = ""; out = ""
-    while ((getline line < reff) > 0) {
-      split(line, f, "\t")
-      if (f[1] in cur && cur[f[1]] + 0 > 0 && f[2] != "null") {
-        out = out sep sprintf("\n    \"%s\": %.2f", f[1], f[2] / cur[f[1]])
-        sep = ","
-      }
-    }
-    close(reff)
-    return out
-  }
-  BEGIN {
-    printf "{\n"
-    printf "  \"baseline_ref\": \"%s\",\n", ref
-    printf "  \"baseline_sha\": \"%s\",\n", refsha
-    printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"current\": {%s\n  },\n", emit(ARGV[1])
-    printf "  \"baseline\": {%s\n  },\n", emit(ARGV[2])
-    printf "  \"speedup_vs_baseline\": {%s\n  }\n", speedups(ARGV[1], ARGV[2])
-    printf "}\n"
-  }
-' "$CUR_TSV" "$REF_TSV" > "$OUT"
-echo "bench-regress: wrote $OUT" >&2
-
-if [ "$FAIL" -ne 0 ]; then
-  echo "bench-regress: FAILED — a benchmark regressed more than ${THRESHOLD_PCT}% vs $BASELINE" >&2
-  exit 1
-fi
-echo "bench-regress: all benchmarks within ${THRESHOLD_PCT}% of $BASELINE" >&2
+"$WORK/zac-benchsuite" gate -store "$STORE" -baseline "$BASE" -current "$TREE" \
+  -alpha "${BENCH_ALPHA:-0.05}" -min-delta "${BENCH_MIN_DELTA_PCT:-3}"
