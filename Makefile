@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet doclint build test race bench bench-micro bench-regress benchsuite benchsuite-smoke benchsuite-report fuzz-smoke fuzz-diff fuzz-diff-smoke serve-smoke telemetry-smoke chaos-smoke
+.PHONY: check vet doclint build test race bench bench-micro bench-regress benchsuite-smoke benchsuite-report fuzz-smoke fuzz-diff fuzz-diff-smoke serve-smoke telemetry-smoke chaos-smoke
 
 check: vet doclint build race
 
@@ -39,20 +39,14 @@ REF ?= HEAD
 bench-regress:
 	./scripts/bench-regress.sh $(REF)
 
-# Performance observatory: the compile matrix with statistical repetitions
-# into the persistent store, for trend queries and reports.
-# `zac-benchsuite -h` lists the other surfaces (ingest, trend, report, gate).
-benchsuite:
-	$(GO) run ./cmd/zac-benchsuite run -reps 10 -store .zac-benchstore -progress
-
 # Render the observatory store as a markdown report on stdout.
 benchsuite-report:
 	$(GO) run ./cmd/zac-benchsuite report -store .zac-benchstore
 
-# Observatory smoke (CI): two real JV benchmark runs ingested into a
+# Observatory smoke (CI): two real kernel benchmark runs ingested into a
 # throwaway store, a trend query across both, the gate passing the
-# noise-only pair and flagging a copy with ns/op doubled, then a compile
-# smoke run and the report surfaces.
+# noise-only pair and flagging copies with ns/op or B/op doubled, then the
+# report surfaces.
 benchsuite-smoke:
 	./scripts/benchsuite-smoke.sh
 

@@ -1,16 +1,13 @@
-// Command zac-benchsuite is the performance observatory CLI: it ingests
-// `go test -bench -benchmem` output for the kernels, executes the
-// declarative compile matrix (forge workload families × registry compilers
-// × architectures) with warm-up and repetition control, stamps every
-// record with the machine fingerprint and commit, appends to the
-// persistent JSON-lines store, and answers trend queries, renders
-// markdown/HTML reports, and runs the statistical regression gate.
+// Command zac-benchsuite is the kernel half of the performance observatory
+// CLI: it ingests `go test -bench -benchmem` output, stamps every record
+// with the machine fingerprint and commit, appends to the persistent
+// JSON-lines store, and answers trend queries, renders markdown/HTML
+// reports, and runs the statistical regression gate. Application numbers
+// come from perfbench.
 //
-// Subcommands (a bare flag list implies `run`):
+// Subcommands:
 //
 //	go test -run xxx -bench JV -benchmem ./internal/matching | zac-benchsuite ingest -commit <sha>
-//	zac-benchsuite run -smoke -store .zac-benchstore
-//	zac-benchsuite run -compilers zac,enola -archs ref,triple
 //	zac-benchsuite trend -store .zac-benchstore -case zac/internal/matching.BenchmarkJVDense -last 10
 //	zac-benchsuite report -store .zac-benchstore -format html -o report.html
 //	zac-benchsuite gate -store .zac-benchstore -baseline <sha> -current latest
@@ -20,13 +17,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"os/signal"
 	"strings"
 	"time"
 
@@ -35,9 +30,7 @@ import (
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
 // defaultStore is the store directory used when -store is not given.
@@ -45,14 +38,12 @@ const defaultStore = ".zac-benchstore"
 
 // run dispatches the subcommand and returns the process exit code; kept
 // separate from main so tests drive the full CLI in-process.
-func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	cmd := "run"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	cmd := ""
+	if len(args) > 0 {
 		cmd, args = args[0], args[1:]
 	}
 	switch cmd {
-	case "run":
-		return runMatrix(ctx, args, stdout, stderr)
 	case "ingest":
 		return runIngest(args, stdin, stdout, stderr)
 	case "trend":
@@ -66,7 +57,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		fmt.Fprintf(stdout, "%s\n%s\n", fp.ID(), fp.String())
 		return 0
 	default:
-		fmt.Fprintf(stderr, "zac-benchsuite: unknown subcommand %q (have run, ingest, trend, report, gate, fingerprint)\n", cmd)
+		fmt.Fprintf(stderr, "zac-benchsuite: unknown subcommand %q (have ingest, trend, report, gate, fingerprint)\n", cmd)
 		return 2
 	}
 }
@@ -87,81 +78,15 @@ func gitHead() string {
 	return strings.TrimSpace(string(out))
 }
 
-// splitList splits a separator-joined flag value, dropping empties.
-func splitList(s, sep string) []string {
+// splitList splits a comma-separated flag value, dropping empties.
+func splitList(s string) []string {
 	var out []string
-	for _, part := range strings.Split(s, sep) {
+	for _, part := range strings.Split(s, ",") {
 		if part = strings.TrimSpace(part); part != "" {
 			out = append(out, part)
 		}
 	}
 	return out
-}
-
-// runMatrix executes the selected matrix and appends the records to the
-// store.
-func runMatrix(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	storeDir := fs.String("store", defaultStore, "results store directory (JSON-lines, one shard per machine fingerprint)")
-	smoke := fs.Bool("smoke", false, "tiny matrix (ZAC over two small forge specs), few repetitions")
-	specs := fs.String("specs", "", "';'-separated forge workload specs for the compile matrix (default: pinned per-family sweep)")
-	compilers := fs.String("compilers", "", "comma-separated registry compilers for the compile matrix (default zac)")
-	archs := fs.String("archs", "", "comma-separated target architectures: "+strings.Join(benchsuite.ArchNames(), ", "))
-	reps := fs.Int("reps", 0, "timed repetitions per case (default 10; smoke default 3)")
-	warmup := fs.Int("warmup", 1, "discarded warm-up repetitions per case")
-	parallel := fs.Int("parallel", 1, "engine workers across cases (>1 only for plumbing smoke — parallel timing is noise)")
-	commit := fs.String("commit", "", "commit stamped into records (default: git rev-parse HEAD)")
-	progress := fs.Bool("progress", false, "print one line per completed case")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	var cases []benchsuite.Case
-	var err error
-	if *smoke {
-		cases, err = benchsuite.SmokeMatrix()
-		if *reps == 0 {
-			*reps = 3
-		}
-	} else {
-		cases, err = benchsuite.Matrix(splitList(*specs, ";"), splitList(*compilers, ","), splitList(*archs, ","))
-	}
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if *reps == 0 {
-		*reps = 10
-	}
-	if *commit == "" {
-		*commit = gitHead()
-	}
-	cfg := benchsuite.RunConfig{
-		Warmup:  *warmup,
-		Reps:    *reps,
-		Workers: *parallel,
-		Commit:  *commit,
-	}
-	if *progress {
-		cfg.Progress = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
-	}
-	records, err := benchsuite.Run(ctx, cases, cfg)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	store, err := benchsuite.OpenStore(*storeDir)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if err := store.Append(records); err != nil {
-		return fail(stderr, err)
-	}
-	fp := benchsuite.Machine()
-	fmt.Fprintf(stdout, "zac-benchsuite: %d cases × %d reps appended to %s (machine %s, commit %s)\n",
-		len(records), *reps, *storeDir, fp.ID(), shortSHA(*commit))
-	for _, r := range records {
-		fmt.Fprintf(stdout, "  %-60s median %14.0f ns/op\n", r.Case, stats.Median(r.NsPerOp))
-	}
-	return 0
 }
 
 // runIngest appends one record per `go test -bench` result line read from
@@ -296,7 +221,7 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 		*machine = benchsuite.Machine().ID()
 	}
 	verdicts, err := benchsuite.GateCommits(store, *machine, *baseline, *current, benchsuite.GateOptions{
-		Alpha: *alpha, MinDeltaPct: *minDelta, ThresholdPct: *threshold, Cases: splitList(*cases, ","),
+		Alpha: *alpha, MinDeltaPct: *minDelta, ThresholdPct: *threshold, Cases: splitList(*cases),
 	})
 	if err != nil {
 		return fail(stderr, err)
@@ -317,13 +242,13 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 		case benchsuite.ModeSkipped:
 			detail = v.Note
 		}
-		fmt.Fprintf(stdout, "gate: %s %-60s %s\n", state, v.Case, detail)
+		fmt.Fprintf(stdout, "gate: %s %-60s %-9s %s\n", state, v.Case, v.Metric, detail)
 	}
 	if n := benchsuite.Regressions(verdicts); n > 0 {
-		fmt.Fprintf(stdout, "gate: FAILED — %d case(s) regressed (baseline %s → current %s)\n", n, shortSHA(*baseline), *current)
+		fmt.Fprintf(stdout, "gate: FAILED — %d verdict(s) regressed (baseline %s → current %s)\n", n, shortSHA(*baseline), *current)
 		return 1
 	}
-	fmt.Fprintf(stdout, "gate: ok — %d case(s), no statistically significant regression\n", len(verdicts))
+	fmt.Fprintf(stdout, "gate: ok — %d verdict(s), no statistically significant regression\n", len(verdicts))
 	return 0
 }
 

@@ -3,6 +3,7 @@ package benchsuite
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"zac/internal/benchsuite/stats"
@@ -11,7 +12,7 @@ import (
 // GateOptions tunes the statistical regression gate.
 type GateOptions struct {
 	// Alpha is the significance level of the Mann-Whitney test (default
-	// 0.05): a slowdown is only real when p < Alpha.
+	// 0.05): a regression is only real when p < Alpha.
 	Alpha float64
 	// MinDeltaPct is the practical-significance floor (default 3): a
 	// statistically significant median delta below it is reported but not
@@ -19,7 +20,7 @@ type GateOptions struct {
 	// measurement artifact, not a regression.
 	MinDeltaPct float64
 	// ThresholdPct is the fallback raw gate (default 20) used when a
-	// case's samples are too few or too degenerate for the statistical
+	// metric's samples are too few or too degenerate for the statistical
 	// test (stats.ErrTooFewSamples / stats.ErrAllEqual).
 	ThresholdPct float64
 	// Confidence is the level of the reported median CIs (default 0.95).
@@ -46,34 +47,49 @@ func (o GateOptions) normalized() GateOptions {
 	return o
 }
 
-// Gate modes: how one case's verdict was decided.
+// Gate modes: how one verdict was decided.
 const (
 	// ModeStats marks a verdict decided by the Mann-Whitney test.
 	ModeStats = "stats"
 	// ModeThreshold marks the raw-threshold fallback (too few samples).
 	ModeThreshold = "threshold"
-	// ModeSkipped marks a case the gate could not compare (architecture
-	// changed between the two commits, or missing on one side).
+	// ModeSkipped marks a case the gate could not compare (missing on one
+	// side, or measured at different GOMAXPROCS).
 	ModeSkipped = "skipped"
 )
 
-// Verdict is the gate's decision for one case.
+// metrics are the gated sample vectors of a record, in verdict order.
+var metrics = [...]struct {
+	name    string
+	samples func(Record) []float64
+}{
+	{"ns/op", func(r Record) []float64 { return r.NsPerOp }},
+	{"B/op", func(r Record) []float64 { return r.BPerOp }},
+	{"allocs/op", func(r Record) []float64 { return r.AllocsPerOp }},
+}
+
+// Verdict is the gate's decision for one metric of one case, or for the
+// whole case when it is skipped.
 type Verdict struct {
 	Case string
+	// Metric is "ns/op", "B/op" or "allocs/op"; "" on a case-level skip.
+	Metric string
 	// Mode is ModeStats, ModeThreshold, or ModeSkipped.
 	Mode string
 	// P is the two-sided p-value (ModeStats only).
 	P float64
-	// OldMedian and NewMedian are ns/op medians of the two sample sets.
+	// OldMedian and NewMedian are the medians of the metric's two sample
+	// sets.
 	OldMedian, NewMedian float64
-	// DeltaPct is the median change in percent (positive = slower).
+	// DeltaPct is the median change in percent (positive = worse); +Inf
+	// when the baseline median is 0 and the current one is not.
 	DeltaPct float64
 	// OldCI and NewCI are order-statistic median confidence intervals
 	// (ModeStats only).
 	OldCI, NewCI stats.Interval
-	// Regressed reports whether the gate flags this case.
+	// Regressed reports whether the gate flags this verdict.
 	Regressed bool
-	// Improved reports a significant speedup (informational).
+	// Improved reports a significant improvement (informational).
 	Improved bool
 	// Note carries the human-readable reason for fallback/skip verdicts.
 	Note string
@@ -83,11 +99,13 @@ type Verdict struct {
 // different machines; such comparisons are meaningless and always refused.
 var ErrFingerprintMismatch = errors.New("benchsuite: records span different machine fingerprints")
 
-// Gate compares current against baseline case by case and returns one
-// verdict per baseline case, sorted by name. All records on both sides must
-// carry the same machine fingerprint — the gate refuses cross-machine
-// comparisons outright (ErrFingerprintMismatch) rather than produce a
-// number that looks like a measurement.
+// Gate compares current against baseline case by case and returns, sorted
+// by case, one verdict per metric that both sides carry (records without
+// allocation vectors are judged on ns/op only), or one skip verdict for a
+// case that cannot be compared. All records on both sides must carry the
+// same machine fingerprint — the gate refuses cross-machine comparisons
+// outright (ErrFingerprintMismatch) rather than produce a number that
+// looks like a measurement.
 func Gate(baseline, current []Record, opts GateOptions) ([]Verdict, error) {
 	opts = opts.normalized()
 	machine := ""
@@ -103,9 +121,11 @@ func Gate(baseline, current []Record, opts GateOptions) ([]Verdict, error) {
 		keep[c] = true
 	}
 	type side struct {
-		samples []float64
-		archFP  string
-		procs   int
+		samples [len(metrics)][]float64
+		// procs is the first known GOMAXPROCS of the case's records, and
+		// otherProcs a second, different one (0 when there is none):
+		// samples taken at two proc counts must not be pooled.
+		procs, otherProcs int
 	}
 	collect := func(records []Record) map[string]*side {
 		m := map[string]*side{}
@@ -115,50 +135,68 @@ func Gate(baseline, current []Record, opts GateOptions) ([]Verdict, error) {
 			}
 			s, ok := m[r.Case]
 			if !ok {
-				s = &side{archFP: r.ArchFP, procs: r.Procs}
+				s = &side{}
 				m[r.Case] = s
 			}
-			s.samples = append(s.samples, r.NsPerOp...)
+			switch {
+			case s.procs == 0:
+				s.procs = r.Procs
+			case r.Procs != 0 && r.Procs != s.procs && s.otherProcs == 0:
+				s.otherProcs = r.Procs
+			}
+			for i, mt := range metrics {
+				s.samples[i] = append(s.samples[i], mt.samples(r)...)
+			}
 		}
 		return m
 	}
 	olds, news := collect(baseline), collect(current)
 	var verdicts []Verdict
 	for name, old := range olds {
-		v := Verdict{Case: name, OldMedian: stats.Median(old.samples)}
+		skip := Verdict{Case: name, Mode: ModeSkipped}
 		cur, ok := news[name]
 		switch {
 		case !ok:
-			v.Mode = ModeSkipped
-			v.Regressed = true
-			v.Note = "present in baseline but missing in current run"
-		case cur.archFP != old.archFP:
-			v.Mode = ModeSkipped
-			v.Note = fmt.Sprintf("architecture fingerprint changed (%s → %s); not comparable", old.archFP, cur.archFP)
+			skip.Regressed = true
+			skip.Note = "present in baseline but missing in current run"
+		case old.otherProcs != 0:
+			skip.Note = fmt.Sprintf("baseline pools samples at gomaxprocs %d and %d; not comparable", old.procs, old.otherProcs)
+		case cur.otherProcs != 0:
+			skip.Note = fmt.Sprintf("current run pools samples at gomaxprocs %d and %d; not comparable", cur.procs, cur.otherProcs)
 		case old.procs != 0 && cur.procs != 0 && old.procs != cur.procs:
-			// Same rule as an architecture change: different GOMAXPROCS
-			// means a different machine configuration, not a code delta.
-			// Records predating the field (0 = unknown) stay comparable.
-			v.Mode = ModeSkipped
-			v.Note = fmt.Sprintf("gomaxprocs changed (%d → %d); not comparable", old.procs, cur.procs)
+			// Different GOMAXPROCS means a different machine configuration,
+			// not a code delta. Records predating the field (0 = unknown)
+			// stay comparable.
+			skip.Note = fmt.Sprintf("gomaxprocs changed (%d → %d); not comparable", old.procs, cur.procs)
 		default:
-			v = judge(name, old.samples, cur.samples, opts)
+			for i, mt := range metrics {
+				if len(old.samples[i]) > 0 && len(cur.samples[i]) > 0 {
+					verdicts = append(verdicts, judge(name, mt.name, old.samples[i], cur.samples[i], opts))
+				}
+			}
+			continue
 		}
-		verdicts = append(verdicts, v)
+		verdicts = append(verdicts, skip)
 	}
-	sort.Slice(verdicts, func(i, j int) bool { return verdicts[i].Case < verdicts[j].Case })
+	// Verdicts of one case stay in metrics order: the sort is stable and
+	// each case's verdicts were appended together.
+	sort.SliceStable(verdicts, func(i, j int) bool { return verdicts[i].Case < verdicts[j].Case })
 	return verdicts, nil
 }
 
-// judge decides one case from its two sample vectors.
-func judge(name string, old, cur []float64, opts GateOptions) Verdict {
+// judge decides one metric of one case from its two sample vectors.
+func judge(name, metric string, old, cur []float64, opts GateOptions) Verdict {
 	v := Verdict{
 		Case:      name,
+		Metric:    metric,
 		OldMedian: stats.Median(old),
 		NewMedian: stats.Median(cur),
 	}
-	if v.OldMedian > 0 {
+	switch {
+	case v.OldMedian > 0:
 		v.DeltaPct = (v.NewMedian/v.OldMedian - 1) * 100
+	case v.NewMedian > 0:
+		v.DeltaPct = math.Inf(1)
 	}
 	res, err := stats.MannWhitneyU(old, cur)
 	switch {
@@ -178,6 +216,11 @@ func judge(name string, old, cur []float64, opts GateOptions) Verdict {
 		significant := res.P < opts.Alpha
 		v.Regressed = significant && v.DeltaPct > opts.MinDeltaPct
 		v.Improved = significant && v.DeltaPct < -opts.MinDeltaPct
+	}
+	// A kernel that allocated nothing and now allocates has regressed,
+	// however the test judges the size of the shift.
+	if math.IsInf(v.DeltaPct, 1) {
+		v.Regressed = true
 	}
 	return v
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // baseSamples is a realistic steady-state ns/op sample (≈100ns ±0.5%).
@@ -115,40 +116,33 @@ func TestGateRefusesFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// A case that disappeared from the current run is flagged, and a case whose
-// target architecture changed is skipped rather than compared.
-func TestGateMissingAndArchChange(t *testing.T) {
+// A case that disappeared from the current run is flagged; the case present
+// on both sides is still compared.
+func TestGateMissingCase(t *testing.T) {
 	old := []Record{
 		rec("m1", "base", "micro/jv_dense", 1, baseSamples...),
 		rec("m1", "base", "micro/sa_initial", 1, baseSamples...),
 	}
-	old[1].ArchFP = "archA"
-	curSA := rec("m1", "cur", "micro/sa_initial", 2, baseSamples...)
-	curSA.ArchFP = "archB"
-	verdicts, err := Gate(old, []Record{curSA}, GateOptions{})
+	cur := []Record{rec("m1", "cur", "micro/sa_initial", 2, baseSamples...)}
+	verdicts, err := Gate(old, cur, GateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCase := map[string]Verdict{}
-	for _, v := range verdicts {
-		byCase[v.Case] = v
+	if len(verdicts) != 2 {
+		t.Fatalf("verdicts = %+v, want one per case", verdicts)
 	}
-	missing := byCase["micro/jv_dense"]
-	if missing.Mode != ModeSkipped || !missing.Regressed || !strings.Contains(missing.Note, "missing") {
+	missing, kept := verdicts[0], verdicts[1]
+	if missing.Case != "micro/jv_dense" || missing.Mode != ModeSkipped || !missing.Regressed || !strings.Contains(missing.Note, "missing") {
 		t.Errorf("missing case verdict = %+v", missing)
 	}
-	archChanged := byCase["micro/sa_initial"]
-	if archChanged.Mode != ModeSkipped || archChanged.Regressed {
-		t.Errorf("arch-change verdict = %+v (must skip, not compare)", archChanged)
-	}
-	if !strings.Contains(archChanged.Note, "architecture") {
-		t.Errorf("arch-change note = %q", archChanged.Note)
+	if kept.Case != "micro/sa_initial" || kept.Mode != ModeStats || kept.Regressed {
+		t.Errorf("present case verdict = %+v", kept)
 	}
 }
 
-// A GOMAXPROCS change between the two sides is skipped like an architecture
-// change — even a 2× "slowdown" is not comparable across core counts — while
-// legacy records without the field (Procs 0) stay comparable.
+// A GOMAXPROCS change between the two sides is skipped — even a 2×
+// "slowdown" is not comparable across core counts — while legacy records
+// without the field (Procs 0) stay comparable.
 func TestGateProcsChange(t *testing.T) {
 	old := []Record{rec("m1", "base", "micro/buildplan_sched/qft_n18/gmp8", 1, baseSamples...)}
 	old[0].Procs = 8
@@ -173,6 +167,95 @@ func TestGateProcsChange(t *testing.T) {
 	}
 	if len(verdicts) != 1 || verdicts[0].Mode != ModeStats || !verdicts[0].Regressed {
 		t.Fatalf("legacy-baseline verdict = %+v (must compare)", verdicts)
+	}
+}
+
+// `go test -cpu 1,2` output ingests as records of one case at Procs 1 and
+// 2. The gate skips such a case instead of pooling samples taken at two
+// proc counts, whichever side holds them.
+func TestGateMixedProcs(t *testing.T) {
+	const mixed = "pkg: zac/internal/matching\n" +
+		"BenchmarkJVDense   \t    1000\t    400000 ns/op\t       0 B/op\t       0 allocs/op\n" +
+		"BenchmarkJVDense-2 \t    1000\t    230000 ns/op\t       0 B/op\t       0 allocs/op\n"
+	base, err := Ingest(strings.NewReader(mixed), "base", time.Unix(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Ingest(strings.NewReader(mixed), "cur", time.Unix(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		old      []Record
+		wantNote string
+	}{
+		{"both sides mixed", base, "baseline pools samples at gomaxprocs 1 and 2"},
+		{"current side mixed", base[:1], "current run pools samples at gomaxprocs 1 and 2"},
+	} {
+		verdicts, err := Gate(tc.old, cur, GateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(verdicts) != 1 || verdicts[0].Mode != ModeSkipped || verdicts[0].Regressed {
+			t.Fatalf("%s: verdicts = %+v (must skip, not compare)", tc.name, verdicts)
+		}
+		if !strings.Contains(verdicts[0].Note, tc.wantNote) {
+			t.Errorf("%s: note = %q, want %q", tc.name, verdicts[0].Note, tc.wantNote)
+		}
+	}
+}
+
+// withAlloc returns r with B/op and allocs/op samples beside its ns/op ones.
+func withAlloc(r Record, b, allocs []float64) Record {
+	r.BPerOp, r.AllocsPerOp = b, allocs
+	return r
+}
+
+// The gate judges B/op and allocs/op beside ns/op: doubled bytes and a
+// kernel that starts allocating are flagged at unchanged speed, and byte
+// noise passes.
+func TestGateAllocationMetrics(t *testing.T) {
+	bytes := []float64{2048, 2050, 2047, 2049, 2048, 2051, 2046, 2048, 2050, 2049}
+	noise := []float64{2049, 2047, 2050, 2048, 2051, 2048, 2047, 2049, 2046, 2050}
+	zeros := make([]float64, len(bytes))
+	ones := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+	old := []Record{withAlloc(rec("m1", "base", "micro/jv_dense", 1, baseSamples...), bytes, zeros)}
+	for _, tc := range []struct {
+		name, want string // want is the one metric to flag, "" for none
+		b, allocs  []float64
+	}{
+		{"B/op doubled", "B/op", scaled(bytes, 2), zeros},
+		{"allocs 0 → 1", "allocs/op", bytes, ones},
+		{"B/op noise", "", noise, zeros},
+	} {
+		cur := []Record{withAlloc(rec("m1", "cur", "micro/jv_dense", 2, baseSamples...), tc.b, tc.allocs)}
+		verdicts, err := Gate(old, cur, GateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var metrics []string
+		for _, v := range verdicts {
+			metrics = append(metrics, v.Metric)
+			if v.Regressed != (v.Metric == tc.want) {
+				t.Errorf("%s: %s verdict = %+v, want flagged only for %q", tc.name, v.Metric, v, tc.want)
+			}
+		}
+		if strings.Join(metrics, ",") != "ns/op,B/op,allocs/op" {
+			t.Errorf("%s: verdict metrics = %v, want ns/op,B/op,allocs/op", tc.name, metrics)
+		}
+	}
+
+	// At five runs a side, allocating in three of them is not significant,
+	// yet growth from a zero median is still flagged.
+	old = []Record{withAlloc(rec("m1", "base", "micro/jv_dense", 1, baseSamples[:5]...), bytes[:5], zeros[:5])}
+	cur := []Record{withAlloc(rec("m1", "cur", "micro/jv_dense", 2, baseSamples[:5]...), bytes[:5], []float64{0, 0, 1, 1, 1})}
+	verdicts, err := Gate(old, cur, GateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := verdicts[2]; v.Metric != "allocs/op" || v.Mode != ModeStats || v.P < 0.05 || !v.Regressed {
+		t.Errorf("allocs 0 → 1 in 3 of 5 runs: verdict = %+v, want flagged at p ≥ 0.05", v)
 	}
 }
 

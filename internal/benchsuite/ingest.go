@@ -64,7 +64,6 @@ func Ingest(r io.Reader, commit string, now time.Time) ([]Record, error) {
 		}
 		rec.Schema = SchemaVersion
 		rec.Case = pkg + "." + rec.Case
-		rec.Kind = KindMicro
 		rec.Commit = commit
 		rec.UnixTime = now.Unix()
 		rec.Machine = fp

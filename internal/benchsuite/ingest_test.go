@@ -58,8 +58,8 @@ func TestIngestTranscript(t *testing.T) {
 			len(r.AllocsPerOp) != 1 || r.AllocsPerOp[0] != w.al {
 			t.Errorf("%s: samples %v / %v / %v, want %v / %v / %v", r.Case, r.NsPerOp, r.BPerOp, r.AllocsPerOp, w.ns, w.b, w.al)
 		}
-		if r.Kind != KindMicro || r.Schema != SchemaVersion || r.Commit != "c0ffee" || r.UnixTime != 777 {
-			t.Errorf("%s: stamp = kind %s schema %d %s@%d", r.Case, r.Kind, r.Schema, r.Commit, r.UnixTime)
+		if r.Schema != SchemaVersion || r.Commit != "c0ffee" || r.UnixTime != 777 {
+			t.Errorf("%s: stamp = schema %d %s@%d", r.Case, r.Schema, r.Commit, r.UnixTime)
 		}
 		if r.Machine != fp || r.MachineID != fp.ID() {
 			t.Errorf("%s: fingerprint not stamped", r.Case)

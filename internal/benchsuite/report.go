@@ -42,8 +42,8 @@ type reportRow struct {
 	HasPrev   bool
 	TrendText string // "104.0 → 101.2 → 98.7" medians, oldest first
 	// BOp and AllocsOp are the latest commit's median B/op and allocs/op;
-	// HasAlloc is false for cases whose records predate schema 2 (or pass
-	// records, which carry no allocation vectors).
+	// HasAlloc is false for cases whose records predate schema 2 and carry
+	// no allocation vectors.
 	BOp      float64
 	AllocsOp float64
 	HasAlloc bool

@@ -1,3 +1,10 @@
+// Package benchsuite is the kernel half of the performance observatory
+// (RZBENCH/openhpca-style); the application numbers come from perfbench.
+// Ingest turns `go test -bench -benchmem` output into records stamped with
+// a machine fingerprint and a commit. They are appended to a persistent
+// JSON-lines store and consumed by trend queries, markdown/HTML report
+// generators, and a benchstat-style Mann-Whitney regression gate — so
+// "measurably faster" is always a measured, statistically gated claim.
 package benchsuite
 
 import (
@@ -11,6 +18,49 @@ import (
 
 	"zac/internal/benchsuite/stats"
 )
+
+// SchemaVersion is the record schema stamped into every store line, bumped
+// on incompatible Record changes so old stores stay readable (readers skip
+// newer-versioned lines they do not understand). History: v1 carried ns/op
+// only; v2 added the b_per_op/allocs_per_op allocation vectors. v1 lines
+// parse unchanged — the new vectors are simply absent — and fields a
+// reader does not know, such as kind, arch_fp and warmup on older v2
+// lines, are ignored.
+const SchemaVersion = 2
+
+// Record is one benchmark result measured at one commit on one machine:
+// its samples plus everything needed to decide, later, whether it may be
+// compared with another record at all.
+type Record struct {
+	// Schema is the record format version (SchemaVersion at write time).
+	Schema int `json:"schema"`
+	// Case is the benchmark's package-qualified name (see Ingest).
+	Case string `json:"case"`
+	// Commit is the VCS revision of the measured tree.
+	Commit string `json:"commit"`
+	// UnixTime is the capture time in seconds (caller-supplied so replays
+	// and tests are deterministic).
+	UnixTime int64 `json:"unix_time"`
+	// Machine is the full machine fingerprint; MachineID its digest, the
+	// store shard key and the gate's comparability check.
+	Machine   Fingerprint `json:"machine"`
+	MachineID string      `json:"machine_id"`
+	// InnerIters is the benchmark's b.N: the operations behind one sample.
+	InnerIters int `json:"inner_iters"`
+	// Procs is the runtime.GOMAXPROCS the benchmark ran under, its "-P"
+	// name suffix. The gate neither pools nor compares records whose Procs
+	// differ. omitempty keeps pre-existing store lines (which carry no
+	// field, i.e. 0 = unknown) comparable with each other.
+	Procs int `json:"gomaxprocs,omitempty"`
+	// NsPerOp holds the per-operation nanosecond samples — the raw
+	// material of the Mann-Whitney gate.
+	NsPerOp []float64 `json:"ns_per_op"`
+	// BPerOp and AllocsPerOp hold the per-operation heap-bytes and
+	// heap-allocations samples, gated beside NsPerOp; absent on schema-1
+	// records.
+	BPerOp      []float64 `json:"b_per_op,omitempty"`
+	AllocsPerOp []float64 `json:"allocs_per_op,omitempty"`
+}
 
 // Store is the persistent, append-only results store: one JSON-lines file
 // per machine fingerprint under a directory ("<dir>/<machine-id>.jsonl").

@@ -1,6 +1,11 @@
 package benchsuite
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // rec builds a store record with the given identity and samples; the full
 // fingerprint is synthesized from the machine id so cross-machine tests can
@@ -9,12 +14,10 @@ func rec(machineID, commit, name string, unix int64, samples ...float64) Record 
 	return Record{
 		Schema:     SchemaVersion,
 		Case:       name,
-		Kind:       KindMicro,
 		Commit:     commit,
 		UnixTime:   unix,
 		Machine:    Fingerprint{CPUModel: "cpu-" + machineID, Cores: 8, GOOS: "linux", GOARCH: "amd64", GoVersion: "go1.24"},
 		MachineID:  machineID,
-		Warmup:     1,
 		InnerIters: 1,
 		NsPerOp:    samples,
 	}
@@ -140,5 +143,38 @@ func TestStoreAtCommitAndLatest(t *testing.T) {
 	prev, err = s.AtCommit("m1", "previous")
 	if err != nil || len(prev) != 1 || prev[0].Commit != "c2" {
 		t.Fatalf("AtCommit(previous) after A,B,A = %+v, %v", prev, err)
+	}
+}
+
+// A schema-2 line carrying fields Record does not have (kind, arch_fp and
+// warmup, which lines in older stores hold) still decodes, and the report
+// renders it.
+func TestStoreReadsLegacyLine(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"schema":2,"case":"compile/zac/default/rb:n=8,depth=4,seed=1","kind":"compile","commit":"c1","unix_time":100,` +
+		`"machine":{"cpu_model":"cpu-m1","cores":8,"goos":"linux","goarch":"amd64","go_version":"go1.24"},"machine_id":"m1",` +
+		`"arch_fp":"0123456789abcdef","warmup":1,"inner_iters":1,"gomaxprocs":2,` +
+		`"ns_per_op":[42000,42100,41900,42050,42010],"b_per_op":[900,900,900,900,900],"allocs_per_op":[12,12,12,12,12]}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "m1.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := s.Records("m1")
+	if err != nil || len(records) != 1 {
+		t.Fatalf("Records = %+v, %v; want the one legacy line", records, err)
+	}
+	if r := records[0]; r.Commit != "c1" || r.Procs != 2 || len(r.NsPerOp) != 5 || len(r.AllocsPerOp) != 5 {
+		t.Errorf("legacy record = %+v", r)
+	}
+	md, err := MarkdownReport(s, ReportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := "| `compile/zac/default/rb:n=8,depth=4,seed=1` | `c1` | 5 | 42010.0 | [41900.0, 42100.0] @94% | 900 B / 12.0 | — | 42010.0 |"
+	if !strings.Contains(md, row) {
+		t.Errorf("report lacks the legacy row %q:\n%s", row, md)
 	}
 }

@@ -13,7 +13,8 @@
 #      time, so the labels differ even when ref is HEAD and a rerun never
 #      merges with an earlier one.
 #   3. The exit status is `zac-benchsuite gate`'s verdict: 0 no regression,
-#      1 a significant slowdown beyond BENCH_MIN_DELTA_PCT, 2 an error.
+#      1 a significant ns/op, B/op or allocs/op growth beyond
+#      BENCH_MIN_DELTA_PCT, 2 an error.
 #
 # Both sides run on the same machine within one script run, so no
 # recorded baseline from another machine enters the verdict.
