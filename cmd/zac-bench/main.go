@@ -1,12 +1,10 @@
 // Command zac-bench regenerates the paper's tables and figures as text
 // tables (and optionally CSV). Each experiment id matches DESIGN.md's
 // per-experiment index. Compilations fan out over a bounded worker pool and
-// are memoized in a process-wide cache, so experiments sharing circuits
-// (fig8/fig9/fig10/table2) compile each (circuit, compiler) pair once.
-//
-// With -cachedir the cache gains a persistent disk tier shared with
-// zac-serve and zairsim: a second run over the same directory restores
-// compilation results instead of recomputing them.
+// are memoized in a process-wide, in-memory cache, so experiments sharing
+// circuits (fig8/fig9/fig10/table2) compile each (circuit, compiler) pair
+// once. Nothing persists between runs: the whole suite recompiles in about
+// a second.
 //
 // With -cpuprofile/-memprofile the run writes pprof profiles of the whole
 // experiment sweep, the easiest way to profile the compiler's hot path over
@@ -28,7 +26,6 @@
 //	zac-bench -workload 'rb:n=32,depth=20,seed=7;shuffle:n=40,depth=12,seed=3'
 //	zac-bench -experiment all -csv out/
 //	zac-bench -experiment all -parallel 8 -progress
-//	zac-bench -experiment all -cachedir ~/.cache/zac
 //	zac-bench -experiment fig12 -nocache -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -67,8 +64,6 @@ func run() int {
 	noCache := flag.Bool("nocache", false, "disable the compilation cache (recompile shared circuits)")
 	saRestarts := flag.Int("sa-restarts", 1, "independent SA initial-placement chains per ZAC compilation, best kept (≥ 1)")
 	workers := flag.Int("workers", 0, "intra-compile parallelism budget per compilation (0 = all cores)")
-	cacheDir := flag.String("cachedir", "", "persistent compilation-cache directory shared with zac-serve and zairsim")
-	cacheMB := flag.Int64("cachemb", 0, "disk cache size bound in MiB (0 = unbounded; needs -cachedir)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 	flag.Parse()
@@ -101,13 +96,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "zac-bench: -memprofile: %v\n", err)
 		}
 	}()
-
-	if *cacheDir != "" {
-		if err := experiments.SetCacheDir(*cacheDir, *cacheMB<<20); err != nil {
-			fmt.Fprintf(os.Stderr, "zac-bench: -cachedir: %v\n", err)
-			return 1
-		}
-	}
 
 	if *list {
 		for _, n := range experiments.Registry() {
@@ -230,14 +218,10 @@ func run() int {
 			return 1
 		}
 	}
-	if *progress || *cacheDir != "" {
+	if *progress {
 		st := experiments.CacheStats()
-		fmt.Fprintf(os.Stderr, "[cache] %d lookups: %d memory hits, %d disk hits, %d misses (%.1f%% hit rate)\n",
-			st.Lookups(), st.MemHits, st.DiskHits, st.Misses, 100*st.HitRate())
-		if *cacheDir != "" {
-			fmt.Fprintf(os.Stderr, "[cache] disk tier %s: %d entries, %d bytes\n",
-				*cacheDir, st.Disk.Entries, st.Disk.Bytes)
-		}
+		fmt.Fprintf(os.Stderr, "[cache] %d lookups: %d memory hits, %d misses (%.1f%% hit rate)\n",
+			st.Lookups(), st.MemHits, st.Misses, 100*st.HitRate())
 	}
 	fmt.Println("[INFO] Finish Compilation")
 	return 0

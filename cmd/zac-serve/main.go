@@ -2,8 +2,8 @@
 // accepts OpenQASM programs (or built-in benchmark names) plus JSON
 // architecture specs, compiles them with bounded concurrency, and returns
 // the ZAIR program and fidelity breakdown as JSON. Results are memoized in
-// the engine's tiered cache; with -cachedir they persist to disk and are
-// shared with zac-bench and zairsim runs pointed at the same directory.
+// the engine's tiered cache; with -cachedir they persist to disk and survive
+// restarts.
 //
 // Every compile records a telemetry trace (bounded ring, -traces entries;
 // -traces 0 disables): the response carries a trace_id, GET /v1/traces
@@ -45,7 +45,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8756", "listen address")
-	cacheDir := flag.String("cachedir", "", "persistent compilation-cache directory shared with zac-bench and zairsim")
+	cacheDir := flag.String("cachedir", "", "persistent compilation-cache directory")
 	cacheMB := flag.Int64("cachemb", 0, "disk cache size bound in MiB (0 = unbounded; needs -cachedir)")
 	parallel := flag.Int("parallel", 0, "max concurrent compilations (0 = all CPUs)")
 	memEntries := flag.Int("mementries", 4096, "in-memory cache capacity in entries (0 = unbounded)")

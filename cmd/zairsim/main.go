@@ -5,9 +5,8 @@
 // externally generated or hand-edited ZAIR programs. Multiple programs are
 // verified concurrently through the engine's worker pool; reports print in
 // argument order. With -cachedir, verification reports are cached on disk
-// (keyed by program content digest and architecture fingerprint, the same
-// cache directory zac-serve and zac-bench use), so re-verifying unchanged
-// programs is free.
+// (keyed by program content digest and architecture fingerprint), so
+// re-verifying unchanged programs is free.
 //
 // With -selfcheck a built-in benchmark is compiled in-process through the
 // compiler registry (-compiler selects the ZAC preset) and the emitted
@@ -44,7 +43,7 @@ func main() {
 	programPath := flag.String("program", "", "ZAIR program JSON file (may also be given as positional arguments)")
 	archPath := flag.String("arch", "", "architecture JSON (default: reference architecture)")
 	parallel := flag.Int("parallel", 0, "worker pool size for multiple programs (0 = all CPUs)")
-	cacheDir := flag.String("cachedir", "", "persistent report-cache directory shared with zac-serve and zac-bench")
+	cacheDir := flag.String("cachedir", "", "persistent report-cache directory")
 	selfcheck := flag.String("selfcheck", "", "compile this built-in benchmark through the compiler registry and verify the emitted program in-process")
 	compilerName := flag.String("compiler", "zac", "registry compiler for -selfcheck (must emit ZAIR: zac, zac-vanilla, zac-dynplace, zac-dynplace-reuse)")
 	flag.Parse()

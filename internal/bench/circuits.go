@@ -3,8 +3,8 @@
 // qubit counts. The generators reproduce each circuit family's structure —
 // the property the evaluation depends on (parallelism, depth, interaction
 // topology) — while exact post-transpilation gate counts may differ slightly
-// from the paper's Qiskit-produced numbers (recorded here as Paper2Q/Paper1Q
-// and compared in EXPERIMENTS.md).
+// from the paper's Qiskit-produced numbers (recorded here as Paper2Q/Paper1Q;
+// see DESIGN.md, "Known deviations from the paper").
 package bench
 
 import (

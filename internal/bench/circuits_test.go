@@ -42,7 +42,7 @@ func TestAllBenchmarksPreprocess(t *testing.T) {
 			t.Errorf("%s: no 2Q gates after preprocessing", b.Name)
 		}
 		// Compiled counts must be within 2x of the paper's Qiskit numbers —
-		// a loose sanity band; exact deltas are recorded in EXPERIMENTS.md.
+		// a loose sanity band (DESIGN.md, "Known deviations from the paper").
 		if two > 2*b.Paper2Q || two < b.Paper2Q/2 {
 			t.Errorf("%s: 2Q count %d far from paper's %d", b.Name, two, b.Paper2Q)
 		}

@@ -23,8 +23,6 @@ type GateOptions struct {
 	// metric's samples are too few or too degenerate for the statistical
 	// test (stats.ErrTooFewSamples / stats.ErrAllEqual).
 	ThresholdPct float64
-	// Confidence is the level of the reported median CIs (default 0.95).
-	Confidence float64
 	// Cases, when non-empty, restricts the gate to these exact case
 	// names; everything else in either record set is ignored.
 	Cases []string
@@ -40,9 +38,6 @@ func (o GateOptions) normalized() GateOptions {
 	}
 	if o.ThresholdPct <= 0 {
 		o.ThresholdPct = 20
-	}
-	if o.Confidence <= 0 {
-		o.Confidence = 0.95
 	}
 	return o
 }
@@ -84,9 +79,6 @@ type Verdict struct {
 	// DeltaPct is the median change in percent (positive = worse); +Inf
 	// when the baseline median is 0 and the current one is not.
 	DeltaPct float64
-	// OldCI and NewCI are order-statistic median confidence intervals
-	// (ModeStats only).
-	OldCI, NewCI stats.Interval
 	// Regressed reports whether the gate flags this verdict.
 	Regressed bool
 	// Improved reports a significant improvement (informational).
@@ -211,8 +203,6 @@ func judge(name, metric string, old, cur []float64, opts GateOptions) Verdict {
 	default:
 		v.Mode = ModeStats
 		v.P = res.P
-		v.OldCI, _ = stats.MedianCI(old, opts.Confidence)
-		v.NewCI, _ = stats.MedianCI(cur, opts.Confidence)
 		significant := res.P < opts.Alpha
 		v.Regressed = significant && v.DeltaPct > opts.MinDeltaPct
 		v.Improved = significant && v.DeltaPct < -opts.MinDeltaPct

@@ -15,17 +15,15 @@ type ReportOptions struct {
 	MachineID string
 	// LastN is the trend depth in commits (default 10).
 	LastN int
-	// Confidence is the level of the reported median CIs (default 0.95).
-	Confidence float64
 }
+
+// reportConfidence is the level of the reported median CIs.
+const reportConfidence = 0.95
 
 // normalized fills the options' defaults.
 func (o ReportOptions) normalized() ReportOptions {
 	if o.LastN <= 0 {
 		o.LastN = 10
-	}
-	if o.Confidence <= 0 {
-		o.Confidence = 0.95
 	}
 	return o
 }
@@ -100,7 +98,7 @@ func buildReport(s *Store, opts ReportOptions) ([]reportMachine, error) {
 				Reps:   last.Summary.N,
 				Median: last.Summary.Median,
 			}
-			if ci, err := stats.MedianCI(last.Samples, opts.Confidence); err == nil {
+			if ci, err := stats.MedianCI(last.Samples, reportConfidence); err == nil {
 				row.CI = ci
 			}
 			if len(last.BSamples) > 0 {

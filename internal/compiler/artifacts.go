@@ -14,10 +14,9 @@ import (
 // Artifacts is the pass-granular artifact cache: staged circuits and
 // placement plans are keyed by circuit identity (plus the parameters that
 // shape them) and computed once, shared across every compiler and caller
-// routed through the same underlying engine.Tiered. Staged circuits
-// round-trip through JSON and persist to the disk tier when one is
-// attached; plans hold deep pointer graphs into the architecture and stay
-// memory-only. A nil *Artifacts is valid and computes everything in place.
+// routed through the same underlying engine.Tiered. Artifacts are
+// memory-only: they are never written to a disk tier. A nil *Artifacts is
+// valid and computes everything in place.
 type Artifacts struct {
 	cache *engine.Tiered
 }
@@ -51,7 +50,7 @@ func (ar *Artifacts) Staged(key string, splitSites int, build func() (*circuit.S
 		return compute()
 	}
 	k := fmt.Sprintf("pass:staged|%s|split=%d", key, splitSites)
-	return engine.GetTiered(ar.cache, k, engine.JSONCodec[*circuit.Staged](), compute)
+	return engine.GetTiered(ar.cache, k, nil, compute)
 }
 
 // planKey renders the memoization key of a placement artifact. place.Options
@@ -61,16 +60,6 @@ func (ar *Artifacts) Staged(key string, splitSites int, build func() (*circuit.S
 // regardless of the worker budget they ran under.
 func planKey(key string, a *arch.Architecture, opts place.Options) string {
 	return fmt.Sprintf("pass:place|%s|arch=%s|opts=%+v", key, a.Fingerprint(), opts.Canonical())
-}
-
-// Plan memoizes the placement pass for (key, a, opts), computing the plan
-// with BuildPlan on a miss. The bool reports a cache hit (including joining
-// a computation already in flight).
-func (ar *Artifacts) Plan(ctx context.Context, key string, a *arch.Architecture, staged *circuit.Staged, opts place.Options) (*place.Plan, bool, error) {
-	compute := func(ctx context.Context) (*place.Plan, error) {
-		return place.BuildPlan(ctx, a, staged, opts)
-	}
-	return ar.memoPlan(key, a, opts)(ctx, compute)
 }
 
 // memoPlan adapts the artifact cache to the core pipeline's MemoPlan hook

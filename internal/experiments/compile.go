@@ -11,7 +11,6 @@ import (
 	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/fidelity"
-	"zac/internal/place"
 	"zac/internal/resynth"
 )
 
@@ -58,18 +57,15 @@ func cachedFlat(cfg Config, b bench.Benchmark) (*circuit.Staged, error) {
 // cachedZAC compiles a benchmark with a ZAC-family registry compiler under
 // the given option preset. optKey must uniquely identify opts — the
 // ablation setting name, a sweep configuration label, or "advReuse".
-// Results persist to the disk tier as core.Snapshot, so an entry restored
-// after a restart has nil Plan and Staged; consumers needing the plan use
-// cachedPlan.
 func cachedZAC(ctx context.Context, cfg Config, b bench.Benchmark, a *arch.Architecture, optKey string, opts core.Options) (*core.Result, error) {
 	key := "zac|" + b.Name + "|arch=" + a.Fingerprint() + "|opt=" + optKey
 	if cfg.SARestarts > 1 {
 		// Extra restarts change the plan, so they change the result
-		// identity; the suffix is conditional to keep existing single-chain
-		// cache entries (memory and disk) addressable.
+		// identity; the suffix is conditional so 0 and 1 (both a single
+		// chain) share one entry.
 		key += fmt.Sprintf("|sar=%d", cfg.SARestarts)
 	}
-	return cachedDisk(cfg, key, core.ResultCodec(), func() (*core.Result, error) {
+	return cached(cfg, key, func() (*core.Result, error) {
 		staged, err := cachedStaged(cfg, b, a)
 		if err != nil {
 			return nil, err
@@ -94,7 +90,7 @@ func cachedZAC(ctx context.Context, cfg Config, b bench.Benchmark, a *arch.Archi
 // architecture.
 func cachedZACNativeCCZ(ctx context.Context, cfg Config, b bench.Benchmark, a *arch.Architecture) (*core.Result, error) {
 	key := "zacccz|" + b.Name + "|arch=" + a.Fingerprint()
-	return cachedDisk(cfg, key, core.ResultCodec(), func() (*core.Result, error) {
+	return cached(cfg, key, func() (*core.Result, error) {
 		staged, err := cfg.artifacts().Staged("ccz|"+b.Name, a.TotalSites(), func() (*circuit.Staged, error) {
 			native, err := resynth.PreprocessNativeCCZ(b.Build())
 			if err != nil {
@@ -118,24 +114,6 @@ func cachedZACNativeCCZ(ctx context.Context, cfg Config, b bench.Benchmark, a *a
 		}
 		return r, nil
 	})
-}
-
-// cachedPlan rebuilds (and memoizes, memory-only) the full-ZAC placement
-// plan for a benchmark through the same pass-artifact cache the registry's
-// zac compiler uses, so a plan computed during compilation is shared here
-// and vice versa. It exists for consumers of cachedZAC results that need
-// the Plan after a disk-tier restore, where only the core.Snapshot subset
-// survives.
-func cachedPlan(ctx context.Context, cfg Config, b bench.Benchmark, a *arch.Architecture) (*place.Plan, error) {
-	staged, err := cachedStaged(cfg, b, a)
-	if err != nil {
-		return nil, err
-	}
-	plan, _, err := cfg.artifacts().Plan(ctx, b.Name, a, staged, core.Default().Place)
-	if err != nil {
-		return nil, fmt.Errorf("%s/zac-plan: %w", b.Name, err)
-	}
-	return plan, nil
 }
 
 // evalCompiler compiles one benchmark with one registry compiler under the
@@ -169,8 +147,7 @@ func evalCompiler(ctx context.Context, cfg Config, name string, b bench.Benchmar
 // evalCompilerOn compiles one benchmark with one registry compiler under an
 // explicit setup: split is the architecture whose site capacity bounds the
 // staged circuit's Rydberg stages (nil = flat, no splitting) and target is
-// the architecture compiled for. Results persist to the disk tier as
-// core.Snapshot.
+// the architecture compiled for.
 func evalCompilerOn(ctx context.Context, cfg Config, name string, b bench.Benchmark, split, target *arch.Architecture) (naResult, error) {
 	c, err := compiler.Get(name)
 	if err != nil {
@@ -181,7 +158,7 @@ func evalCompilerOn(ctx context.Context, cfg Config, name string, b bench.Benchm
 		splitLabel = split.Fingerprint()
 	}
 	key := fmt.Sprintf("compile|%s|%s|split=%s|arch=%s", c.Name(), b.Name, splitLabel, target.Fingerprint())
-	r, err := cachedDisk(cfg, key, core.ResultCodec(), func() (*core.Result, error) {
+	r, err := cached(cfg, key, func() (*core.Result, error) {
 		var staged *circuit.Staged
 		var err error
 		if split != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"zac/internal/compiler"
 )
@@ -50,7 +51,7 @@ func CompilerSweep(ctx context.Context, cfg Config, subset, compilers []string) 
 			r := res[i*len(cols)+j]
 			fRow[col] = r.breakdown.Total
 			dRow[col] = r.duration / 1000
-			cRow[col] = float64(r.compile.Milliseconds())
+			cRow[col] = float64(r.compile) / float64(time.Millisecond)
 		}
 		fid.AddRow(b.Name, fRow)
 		dur.AddRow(b.Name, dRow)

@@ -49,15 +49,15 @@ func (c Config) progressf(format string, args ...any) {
 // compileCache memoizes every compilation the harness performs, keyed on
 // circuit name + compiler + architecture fingerprint (+ option preset), so
 // circuits shared across experiments — e.g. the representative subset reused
-// by Fig8/Fig9/Fig10/Table2 — compile once per process. The LRU front is
-// sized far above the full suite's entry count; attaching a disk tier with
-// SetCacheDir makes final results survive restarts as well.
+// by Fig8/Fig9/Fig10/Table2 — compile once per process. The LRU is sized far
+// above the full suite's entry count. It is memory-only: recompiling the
+// whole paper suite takes about a second, less than reading it back from
+// disk, so results always carry their placement plan and staged circuit.
 var compileCache = engine.NewTiered(8192)
 
 // compileArtifacts is the pass-artifact view of the process-wide cache:
 // staged circuits and placement plans computed once and shared across every
-// compiler the harness drives (the registry's replacement for the old
-// hand-rolled cachedStaged/cachedPlan sharing).
+// compiler the harness drives.
 var compileArtifacts = compiler.NewArtifacts(compileCache)
 
 // artifacts returns the shared pass-artifact cache, or nil when the config
@@ -69,47 +69,20 @@ func (c Config) artifacts() *compiler.Artifacts {
 	return compileArtifacts
 }
 
-// cached routes a memory-only computation through the process-wide cache
-// unless the config opted out. Entries looked up this way are never written
-// to the disk tier — the right mode for values that hold deep pointer
-// graphs into the architecture (placement plans, ftqc results).
+// cached routes a computation through the process-wide cache unless the
+// config opted out.
 func cached[T any](cfg Config, key string, compute func() (T, error)) (T, error) {
-	return cachedDisk(cfg, key, nil, compute)
-}
-
-// cachedDisk routes a computation through the full cache hierarchy: LRU
-// memory front, then the disk tier (when SetCacheDir attached one and codec
-// is non-nil), then compute with write-through to both tiers.
-func cachedDisk[T any](cfg Config, key string, codec *engine.Codec, compute func() (T, error)) (T, error) {
 	if cfg.NoCache {
 		return compute()
 	}
-	return engine.GetTiered(compileCache, key, codec, compute)
+	return engine.GetTiered(compileCache, key, nil, compute)
 }
 
-// SetCacheDir attaches a persistent disk tier rooted at dir to the
-// compilation cache (maxBytes 0 = unbounded), or detaches it when dir is
-// empty. Compilation results then survive process restarts and are shared
-// with other processes pointed at the same directory.
-func SetCacheDir(dir string, maxBytes int64) error {
-	if dir == "" {
-		compileCache.SetDisk(nil)
-		return nil
-	}
-	d, err := engine.OpenDiskCache(dir, maxBytes)
-	if err != nil {
-		return err
-	}
-	compileCache.SetDisk(d)
-	return nil
-}
-
-// ResetCache drops every in-memory cached compilation (the disk tier, if
-// attached, is untouched). Benchmarks call it to measure cold-cache
-// behavior; servers can call it to bound memory.
+// ResetCache drops every cached compilation. Benchmarks call it to measure
+// cold-cache behavior; servers can call it to bound memory.
 func ResetCache() { compileCache.Reset() }
 
-// CacheStats reports the compilation cache's per-tier hit/miss counters.
+// CacheStats reports the compilation cache's hit/miss counters.
 func CacheStats() engine.TieredStats { return compileCache.Stats() }
 
 // mapRows is the harness's fan-out primitive: it runs fn(i) for every index

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestFig8Shape(t *testing.T) {
 		}
 		// The headline result: ZAC beats every neutral-atom baseline. (SC is
 		// exempt — our near-path layout lets SC win pure chain circuits, a
-		// documented deviation in EXPERIMENTS.md.)
+		// documented in DESIGN.md, "Known deviations from the paper".)
 		for _, col := range []string{ColAtomique, ColEnola, ColNALAC} {
 			if r.Values[col] > zac {
 				t.Errorf("%s: %s (%v) beats ZAC (%v)", r.Circuit, col, r.Values[col], zac)
@@ -176,6 +177,26 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(csv, "x,0.5,2") {
 		t.Errorf("csv row missing:\n%s", csv)
+	}
+}
+
+// TestCompilerSweepCompileTime: a baseline compiles the fast subset in well
+// under a millisecond, so its compile-time cells and their GMean must keep
+// the fraction instead of reading 0 (and 1e-300 for the GMean). No compile
+// takes less than a nanosecond.
+func TestCompilerSweepCompileTime(t *testing.T) {
+	tabs, err := CompilerSweep(context.Background(), Config{Parallel: 2}, fast, []string{"enola"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp := tabs[2]
+	if !strings.Contains(cmp.Title, "compile time") {
+		t.Fatalf("third table is %q, want the compile-time table", cmp.Title)
+	}
+	for _, r := range append(cmp.Rows, cmp.GeoMeanRow()) {
+		if v := r.Values["enola"]; !(v >= 1e-6) {
+			t.Errorf("%s: enola compile time = %v ms, want at least 1 ns", r.Circuit, v)
+		}
 	}
 }
 

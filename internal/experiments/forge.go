@@ -27,8 +27,7 @@ func defaultForgeSpecs() []string {
 
 // forgeBenchmark adapts one workload spec into a benchmark entry the
 // experiment engine can fan out. The canonical spec becomes the benchmark
-// name, so every compile cache key — memory, disk, and zac-serve's — is
-// keyed by the exact workload. Generation happens once here; Build hands
+// name, so every compile cache key is keyed by the exact workload. Generation happens once here; Build hands
 // out clones of the deterministic circuit.
 func forgeBenchmark(spec string) (bench.Benchmark, error) {
 	s, err := workload.Parse(spec)

@@ -92,6 +92,24 @@ func TestCacheHitAcrossExperiments(t *testing.T) {
 	}
 }
 
+// TestNoCacheBypassesCache ensures Config.NoCache skips the cache: a NoCache
+// run after a populated cold run must not touch the counters.
+func TestNoCacheBypassesCache(t *testing.T) {
+	ResetCache()
+	ctx := context.Background()
+	if _, err := RunWith(ctx, Config{Parallel: 2}, "fig10", fast); err != nil {
+		t.Fatal(err)
+	}
+	before := CacheStats()
+	if _, err := RunWith(ctx, Config{Parallel: 2, NoCache: true}, "fig10", fast); err != nil {
+		t.Fatal(err)
+	}
+	after := CacheStats()
+	if after.Lookups() != before.Lookups() {
+		t.Errorf("NoCache run performed cache lookups: %d → %d", before.Lookups(), after.Lookups())
+	}
+}
+
 // TestRunWithCancelledContext verifies the pool aborts promptly when the
 // caller cancels.
 func TestRunWithCancelledContext(t *testing.T) {

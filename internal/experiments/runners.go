@@ -403,20 +403,11 @@ func Fig13(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan := r.Plan
-		if plan == nil {
-			// The result came back from the disk tier, which persists only
-			// the core.Snapshot subset; rebuild the (deterministic) plan.
-			plan, err = cachedPlan(ctx, cfg, b, a)
-			if err != nil {
-				return nil, err
-			}
-		}
 		cfg.progressf("fig13: %s", b.Name)
 		return map[string]float64{
-			"PerfectReuse":     core.PerfectReuse(a, staged, plan).Total,
-			"PerfectPlacement": core.PerfectPlacement(a, staged, plan).Total,
-			"PerfectMovement":  core.PerfectMovement(a, staged, plan).Total,
+			"PerfectReuse":     core.PerfectReuse(a, staged, r.Plan).Total,
+			"PerfectPlacement": core.PerfectPlacement(a, staged, r.Plan).Total,
+			"PerfectMovement":  core.PerfectMovement(a, staged, r.Plan).Total,
 			"ZAC":              r.Breakdown.Total,
 		}, nil
 	})

@@ -15,9 +15,9 @@ import (
 )
 
 // entryKeyPrefix versions zac-serve's cache keys. Entries under it are
-// entryCodec payloads; the older "serve|" keys held core.Snapshot payloads,
-// which the disk tier may still carry and which are thus never looked up,
-// let alone decoded as an entry.
+// entryCodec payloads; the older "serve|" keys held a JSON object of the
+// program plus the result scalars, which the disk tier may still carry and
+// which is thus never looked up, let alone decoded as an entry.
 const entryKeyPrefix = "serve.v2|"
 
 // entryKey is the cache identity of one compilation: compiler, circuit,

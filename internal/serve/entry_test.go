@@ -11,11 +11,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"zac/internal/arch"
 	"zac/internal/bench"
 	"zac/internal/core"
 	"zac/internal/engine"
+	"zac/internal/fidelity"
+	"zac/internal/zair"
 )
 
 // ghz3Body is the request the disk-format tests replay.
@@ -66,9 +69,9 @@ func assertServesReference(t *testing.T, disk *engine.DiskCache, wantZAIR, wantF
 }
 
 // TestDiskIgnoresSnapshotEntries: a cache directory filled in the older
-// core.Snapshot format, under the older "serve|" keys, is never decoded as
-// an entry. The old entry here holds another circuit's compilation, so a
-// misread would show in the reply bytes.
+// format (a JSON object of the program plus the result scalars) under the
+// older "serve|" keys is never decoded as an entry. The old entry here holds
+// another circuit's compilation, so a misread would show in the reply bytes.
 func TestDiskIgnoresSnapshotEntries(t *testing.T) {
 	wantZAIR, wantFull := referenceReplies(t, ghz3Body)
 	b, err := bench.ByName("bv_n14")
@@ -79,7 +82,21 @@ func TestDiskIgnoresSnapshotEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot, err := core.ResultCodec().Encode(other)
+	snapshot, err := json.Marshal(struct {
+		Program          *zair.Program      `json:"program"`
+		Stats            fidelity.Stats     `json:"stats"`
+		Breakdown        fidelity.Breakdown `json:"breakdown"`
+		Duration         float64            `json:"duration_us"`
+		CompileTime      time.Duration      `json:"compile_ns"`
+		NumRydbergStages int                `json:"rydberg_stages"`
+		NumJobs          int                `json:"rearrange_jobs"`
+		ReusedGates      int                `json:"reused_gates"`
+		TotalMoves       int                `json:"moves"`
+		Passes           []core.PassTiming  `json:"passes,omitempty"`
+	}{
+		other.Program, other.Stats, other.Breakdown, other.Duration, other.CompileTime,
+		other.NumRydbergStages, other.NumJobs, other.ReusedGates, other.TotalMoves, other.Passes,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
