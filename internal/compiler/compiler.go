@@ -2,12 +2,12 @@
 // interface over ZAC's ablation presets (paper Fig. 11), the published
 // neutral-atom baselines (Enola, Atomique, NALAC — §VII-A), and the
 // superconducting SABRE router, a process-wide registry that resolves them
-// by name, and a pass-granular artifact cache so preprocessing and
-// placement artifacts are computed once and shared across compilers. The
-// experiment harness, the zac-serve HTTP service, and every CLI route their
+// by name, and Key, the one cache identity of a compilation. The experiment
+// harness, the zac-serve HTTP service, and every CLI route their
 // compilations through this package, so a new backend registered here is
 // immediately selectable everywhere (`zac -compiler`, `zac-bench
-// -compiler`, `zac-serve ?compiler=`).
+// -compiler`, `zac-serve ?compiler=`), and every compile cache keys its
+// results through Key.
 package compiler
 
 import (
@@ -23,28 +23,19 @@ import (
 )
 
 // Options carries the cross-compiler knobs of one compilation. The zero
-// value compiles with the compiler's preset configuration and no artifact
-// sharing.
+// value compiles with the compiler's preset configuration.
 type Options struct {
-	// Key identifies the input circuit for pass-granular memoization — a
-	// benchmark name or a content digest. Empty disables artifact sharing
-	// even when Artifacts is set.
-	Key string
-	// Artifacts is the pass-artifact cache shared across compilers; nil
-	// disables memoization.
-	Artifacts *Artifacts
 	// Core overrides the ZAC pipeline configuration (nil = the compiler's
 	// preset). Baseline compilers ignore it.
 	Core *core.Options
 	// SARestarts, when positive, overrides the preset's annealing restart
 	// count for ZAC-family compilers (place.Options.SARestarts). Values > 1
-	// change the produced plan, so callers owning cache keys must reflect
-	// it. Baseline compilers ignore it.
+	// change the produced plan; Key reflects them. Baseline compilers
+	// ignore it.
 	SARestarts int
 	// Workers, when positive, bounds one compilation's intra-compile
 	// parallelism for ZAC-family compilers (place.Options.Workers). It never
-	// changes outputs and must stay out of cache keys. Baseline compilers
-	// ignore it.
+	// changes outputs, so Key leaves it out. Baseline compilers ignore it.
 	Workers int
 }
 
@@ -101,7 +92,7 @@ func WantsSplit(c Compiler) bool {
 // capacity, the paper's evaluation shaping; SC routers consume flat
 // staging (0 = no split); the ZAC family returns 0 here because its CLI
 // and service surfaces keep unsplit staging for byte-stable ZAIR (the
-// experiment harness splits ZAC input itself, sharing one staged artifact
+// experiment harness splits ZAC input itself, sharing one staged circuit
 // across all neutral-atom columns).
 func StageSplitCap(c Compiler) int {
 	if _, zacFamily := Setting(c.Name()); zacFamily {

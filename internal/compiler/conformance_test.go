@@ -11,7 +11,6 @@ import (
 	"zac/internal/bench"
 	"zac/internal/circuit"
 	"zac/internal/core"
-	"zac/internal/engine"
 	"zac/internal/resynth"
 )
 
@@ -56,7 +55,7 @@ func resultHash(t *testing.T, r *core.Result) string {
 // TestRegistryConformance is the registry-wide contract: every registered
 // compiler compiles the 5-circuit determinism subset, returns a non-nil
 // Program with sane Stats and fidelity, reports per-pass timings, and is
-// deterministic across two runs with independent artifact caches.
+// deterministic across two runs.
 func TestRegistryConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the five-circuit subset with every registered compiler; skipped in -short")
@@ -75,11 +74,8 @@ func TestRegistryConformance(t *testing.T) {
 			for _, bn := range conformanceSubset {
 				hashes := make([]string, 2)
 				for run := 0; run < 2; run++ {
-					// Fresh artifact cache per run: determinism must not
-					// lean on sharing one memoized plan.
-					arts := NewArtifacts(engine.NewTiered(0))
 					staged := stagedFor(t, c, bn)
-					r, err := c.Compile(context.Background(), staged, target, Options{Key: bn, Artifacts: arts})
+					r, err := c.Compile(context.Background(), staged, target, Options{})
 					if err != nil {
 						t.Fatalf("%s run %d: %v", bn, run, err)
 					}
@@ -161,56 +157,6 @@ func TestZACMatchesCompileStaged(t *testing.T) {
 	got, _ := json.Marshal(viaRegistry.Program)
 	if string(want) != string(got) {
 		t.Fatal("registry zac output differs from core.CompileStaged")
-	}
-}
-
-// TestArtifactsSharedAcrossCompilers verifies the pass-artifact cache's
-// whole point: three compilers asking for the same staged circuit trigger
-// one preprocessing computation, and two zac compilations of the same
-// (circuit, arch, options) share one placement.
-func TestArtifactsSharedAcrossCompilers(t *testing.T) {
-	arts := NewArtifacts(engine.NewTiered(0))
-	builds := 0
-	build := func() (*circuit.Staged, error) {
-		builds++
-		return resynth.Preprocess(bench.GHZ(8))
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := arts.Staged("ghz8", 0, build); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if builds != 1 {
-		t.Errorf("staged artifact built %d times, want 1", builds)
-	}
-
-	staged, err := arts.Staged("ghz8", 0, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first zac compile computes the plan; a second one with the same
-	// key must reuse the memoized plan and flag its place pass as cached.
-	zc, err := Get("zac")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, wantCached := range []bool{false, true} {
-		r, err := zc.Compile(context.Background(), staged, arch.Reference(), Options{Key: "ghz8", Artifacts: arts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		places := 0
-		for _, p := range r.Passes {
-			if p.Pass == "place" {
-				places++
-				if p.Cached != wantCached {
-					t.Errorf("compile %d: place pass cached = %v, want %v", i+1, p.Cached, wantCached)
-				}
-			}
-		}
-		if places != 1 {
-			t.Errorf("compile %d: %d place passes, want 1", i+1, places)
-		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"zac/internal/circuit"
 	"zac/internal/compiler"
 	"zac/internal/core"
-	"zac/internal/engine"
 	"zac/internal/resynth"
 	"zac/internal/workload"
 )
@@ -55,8 +54,7 @@ func forgeResultHash(t *testing.T, r *core.Result) string {
 
 // TestForgeConformance runs every forge family's pinned smoke spec through
 // every registered compiler: the compile must succeed, the result must be
-// internally sane, and two runs with independent artifact caches must be
-// byte-identical.
+// internally sane, and two runs must be byte-identical.
 func TestForgeConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every smoke spec with every registered compiler; skipped in -short")
@@ -79,13 +77,10 @@ func TestForgeConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				key := parsed.Canonical()
 				hashes := make([]string, 2)
 				for run := 0; run < 2; run++ {
-					arts := compiler.NewArtifacts(engine.NewTiered(0))
 					staged := forgeStagedFor(t, comp, c)
-					r, err := comp.Compile(context.Background(), staged, target,
-						compiler.Options{Key: key, Artifacts: arts})
+					r, err := comp.Compile(context.Background(), staged, target, compiler.Options{})
 					if err != nil {
 						t.Fatalf("%s run %d: %v", spec, run, err)
 					}

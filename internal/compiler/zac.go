@@ -18,10 +18,16 @@ type zacCompiler struct {
 // Name returns the canonical registry name ("zac", "zac-vanilla", …).
 func (z *zacCompiler) Name() string { return z.name }
 
-// Compile runs the standard pipeline with the preset's options (or the
-// caller's override), memoizing the placement artifact in opts.Artifacts so
-// repeated compilations of the same circuit share one plan.
+// Compile runs the standard pipeline with the options resolve returns.
 func (z *zacCompiler) Compile(ctx context.Context, staged *circuit.Staged, a *arch.Architecture, opts Options) (*core.Result, error) {
+	return core.Standard().Run(ctx, staged, a, z.resolve(opts))
+}
+
+// resolve returns the pipeline configuration one compilation runs under:
+// the preset (or the caller's Core override) with the restart count and
+// worker budget applied. Compile and Key both use it, so a cache key always
+// describes the configuration that actually ran.
+func (z *zacCompiler) resolve(opts Options) core.Options {
 	co := core.OptionsFor(z.setting)
 	if opts.Core != nil {
 		co = *opts.Core
@@ -32,17 +38,12 @@ func (z *zacCompiler) Compile(ctx context.Context, staged *circuit.Staged, a *ar
 	if opts.Workers > 0 {
 		co.Place.Workers = opts.Workers
 	}
-	var hooks core.Hooks
-	if opts.Artifacts != nil && opts.Key != "" {
-		hooks.MemoPlan = opts.Artifacts.memoPlan(opts.Key, a, co.Place)
-	}
-	return core.Standard().Run(ctx, staged, a, co, hooks)
+	return co
 }
 
 // Setting returns the core ablation preset a zac-family registry name maps
-// to, and whether name belongs to the zac family at all. Harness code uses
-// it to keep preset-specific cache keys unified with the Fig. 11 ablation
-// study.
+// to, and whether name belongs to the zac family at all: the family that
+// emits a ZAIR instruction stream.
 func Setting(name string) (string, bool) {
 	if c, err := Get(name); err == nil {
 		if z, ok := c.(*zacCompiler); ok {

@@ -1,8 +1,9 @@
-// The registry-side extension of the golden determinism suite: ZAC output
+// The registry-side extension of the golden determinism suite. ZAC output
 // routed through the compiler registry and the pass pipeline must stay
 // byte-identical to the plans and programs pinned in
-// testdata/determinism.golden. It lives in an external test package because
-// internal/compiler imports core.
+// testdata/determinism.golden, and every registry compiler's output on the
+// golden subset is pinned in testdata/registry.golden. It lives in an
+// external test package because internal/compiler imports core.
 package core_test
 
 import (
@@ -10,23 +11,28 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
+	"sort"
 	"testing"
 
 	"zac/internal/arch"
 	"zac/internal/bench"
+	"zac/internal/circuit"
 	"zac/internal/compiler"
 	"zac/internal/core"
-	"zac/internal/engine"
 	"zac/internal/place"
 	"zac/internal/resynth"
 )
 
-func goldenHashes(t *testing.T) map[string]string {
+const registryGoldenPath = "testdata/registry.golden"
+
+func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	data, err := os.ReadFile("testdata/determinism.golden")
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	want := map[string]string{}
 	if err := json.Unmarshal(data, &want); err != nil {
@@ -45,22 +51,33 @@ func sha(t *testing.T, v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestRegistryMatchesGolden compiles the golden corpus through the
-// registry's zac compiler — with pass-artifact memoization active, the
-// exact serve/harness configuration — and checks plan and ZAIR hashes
-// against the same golden file TestGoldenDeterminism pins, so the registry
-// seam provably cannot drift from the direct core entry point.
+// registryDigest is the golden value of one compile: the sha256 of the
+// program as `zac -out` writes it, then fidelity and duration to the last
+// bit.
+func registryDigest(t *testing.T, r *core.Result) string {
+	t.Helper()
+	data, err := json.MarshalIndent(r.Program, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return fmt.Sprintf("%s fid=%.17g dur=%.17g", hex.EncodeToString(sum[:]), r.Breakdown.Total, r.Duration)
+}
+
+// TestRegistryMatchesGolden compiles the golden subset through every
+// registry compiler, shaped as `zac -out` and zac-serve shape it (the
+// compiler's target architecture, staging split to its StageSplitCap). The
+// zac compiler's plans and programs must match the hashes
+// TestGoldenDeterminism pins for core.CompileStaged, so the registry seam
+// cannot drift from the direct entry point; every compiler's program,
+// fidelity and duration must match testdata/registry.golden. Run with
+// -update to rewrite the latter; the keys whose values changed are logged.
 func TestRegistryMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden corpus compiles the five-circuit subset; skipped in -short")
 	}
-	want := goldenHashes(t)
-	zc, err := compiler.Get("zac")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := arch.Reference()
-	arts := compiler.NewArtifacts(engine.NewTiered(0))
+	determinism := readGolden(t, "testdata/determinism.golden")
+	got := map[string]string{}
 	for _, name := range []string{"bv_n14", "ghz_n23", "ising_n42", "qft_n18", "wstate_n27"} {
 		bm, err := bench.ByName(name)
 		if err != nil {
@@ -70,20 +87,66 @@ func TestRegistryMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := zc.Compile(context.Background(), staged, a, compiler.Options{Key: name, Artifacts: arts})
+		for _, cname := range compiler.Names() {
+			c, err := compiler.Get(cname)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := circuit.SplitRydbergStages(staged, compiler.StageSplitCap(c))
+			res, err := c.Compile(context.Background(), in, compiler.TargetArch(c), compiler.Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", cname, name, err)
+			}
+			got[cname+"/"+name] = registryDigest(t, res)
+			if cname != "zac" {
+				continue
+			}
+			planHash := sha(t, struct {
+				Initial []arch.TrapRef
+				Steps   []place.Step
+			}{res.Plan.Initial, res.Plan.Steps})
+			if g := determinism["plan/"+name+"/"+core.SettingSADynPlaceReuse]; g != planHash {
+				t.Errorf("%s: plan hash through registry differs from golden\n  golden:  %s\n  current: %s", name, g, planHash)
+			}
+			if g, progHash := determinism["zair/"+name+"/"+core.SettingSADynPlaceReuse], sha(t, res.Program); g != progHash {
+				t.Errorf("%s: ZAIR hash through registry differs from golden\n  golden:  %s\n  current: %s", name, g, progHash)
+			}
+		}
+	}
+
+	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
+		old := map[string]string{}
+		if data, err := os.ReadFile(registryGoldenPath); err == nil {
+			_ = json.Unmarshal(data, &old)
+		}
+		keys := make([]string, 0, len(got))
+		for k := range got {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if old[k] != got[k] {
+				t.Logf("changed: %s", k)
+			}
+		}
+		data, err := json.MarshalIndent(got, "", "  ") // map keys marshal sorted
 		if err != nil {
 			t.Fatal(err)
 		}
-		planHash := sha(t, struct {
-			Initial []arch.TrapRef
-			Steps   []place.Step
-		}{res.Plan.Initial, res.Plan.Steps})
-		if g := want["plan/"+name+"/"+core.SettingSADynPlaceReuse]; g != planHash {
-			t.Errorf("%s: plan hash through registry differs from golden\n  golden:  %s\n  current: %s", name, g, planHash)
+		if err := os.WriteFile(registryGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		progHash := sha(t, res.Program)
-		if g := want["zair/"+name+"/"+core.SettingSADynPlaceReuse]; g != progHash {
-			t.Errorf("%s: ZAIR hash through registry differs from golden\n  golden:  %s\n  current: %s", name, g, progHash)
+		return
+	}
+	want := readGolden(t, registryGoldenPath)
+	if len(want) != len(got) {
+		t.Errorf("golden has %d entries, current run produced %d", len(want), len(got))
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok {
+			t.Errorf("%s: missing from current run", k)
+		} else if g != w {
+			t.Errorf("%s: digest mismatch\n  golden:  %s\n  current: %s", k, w, g)
 		}
 	}
 }

@@ -15,13 +15,11 @@ import (
 	"zac/internal/telemetry"
 )
 
-// PassTiming records one executed pipeline pass: its name, its wall-clock
-// duration, and whether its artifact was served from a pass-level cache
-// instead of being computed.
+// PassTiming records one executed pipeline pass: its name and its
+// wall-clock duration.
 type PassTiming struct {
 	Pass     string        `json:"pass"`
 	Duration time.Duration `json:"duration_ns"`
-	Cached   bool          `json:"cached,omitempty"`
 }
 
 // PassState is the mutable compilation state threaded through one pipeline
@@ -31,33 +29,12 @@ type PassState struct {
 	Arch   *arch.Architecture
 	Staged *circuit.Staged
 	Opts   Options
-	Hooks  Hooks
 
 	Plan   *place.Plan
 	Sched  *schedule.Result
 	Result *Result
 
-	start  time.Time
-	cached bool
-}
-
-// MarkCached flags the currently executing pass as served from a cache; the
-// pipeline records it in the pass timing and resets the flag between passes.
-func (st *PassState) MarkCached() { st.cached = true }
-
-// MemoPlanFunc wraps the place pass with pass-granular memoization: an
-// implementation may return a previously computed plan for the same
-// (circuit, architecture, options) triple, or invoke compute — passing the
-// context through so cancellation reaches the placement kernel — and share
-// the result with concurrent and future callers. The bool reports a cache
-// hit.
-type MemoPlanFunc func(ctx context.Context, compute func(context.Context) (*place.Plan, error)) (*place.Plan, bool, error)
-
-// Hooks customizes pass execution without changing the pass chain. The zero
-// value computes everything in place.
-type Hooks struct {
-	// MemoPlan, when non-nil, memoizes the place pass (see MemoPlanFunc).
-	MemoPlan MemoPlanFunc
+	start time.Time
 }
 
 // Pass is one named stage of the compilation pipeline.
@@ -94,25 +71,10 @@ func ValidatePass() Pass {
 	}}
 }
 
-// PlacePass runs reuse-aware placement (§V), optionally through the
-// MemoPlan hook so the plan artifact is computed once and shared.
+// PlacePass runs reuse-aware placement (§V).
 func PlacePass() Pass {
 	return Pass{Name: "place", Run: func(ctx context.Context, st *PassState) error {
-		build := func(ctx context.Context) (*place.Plan, error) {
-			return place.BuildPlan(ctx, st.Arch, st.Staged, st.Opts.Place)
-		}
-		if st.Hooks.MemoPlan != nil {
-			plan, cached, err := st.Hooks.MemoPlan(ctx, build)
-			if err != nil {
-				return err
-			}
-			if cached {
-				st.MarkCached()
-			}
-			st.Plan = plan
-			return nil
-		}
-		plan, err := build(ctx)
+		plan, err := place.BuildPlan(ctx, st.Arch, st.Staged, st.Opts.Place)
 		if err != nil {
 			return err
 		}
@@ -176,8 +138,8 @@ func FidelityPass() Pass {
 // can delay or fail compilations at any stage seam; compilations without a
 // plan pay one nil check per pass. When the context carries a telemetry
 // trace (internal/telemetry), each pass records a "pass.<name>" span.
-func (p *Pipeline) Run(ctx context.Context, staged *circuit.Staged, a *arch.Architecture, opts Options, hooks Hooks) (*Result, error) {
-	st := &PassState{Arch: a, Staged: staged, Opts: opts, Hooks: hooks, start: time.Now()}
+func (p *Pipeline) Run(ctx context.Context, staged *circuit.Staged, a *arch.Architecture, opts Options) (*Result, error) {
+	st := &PassState{Arch: a, Staged: staged, Opts: opts, start: time.Now()}
 	cov := cover.From(ctx)
 	fip := faultinject.From(ctx)
 	timings := make([]PassTiming, 0, len(p.passes))
@@ -188,24 +150,17 @@ func (p *Pipeline) Run(ctx context.Context, staged *circuit.Staged, a *arch.Arch
 		if err := fip.Boundary(ctx, "pass."+pass.Name); err != nil {
 			return nil, fmt.Errorf("%s pass: %w", pass.Name, err)
 		}
-		st.cached = false
 		passCtx, span := telemetry.Start(ctx, "pass."+pass.Name)
 		t0 := time.Now()
 		if err := pass.Run(passCtx, st); err != nil {
 			span.End()
 			return nil, fmt.Errorf("%s pass: %w", pass.Name, err)
 		}
-		if st.cached {
-			span.Set("cached", "true")
-		}
 		span.End()
 		if cov != nil {
 			cov.Hit("pass:" + pass.Name)
-			if st.cached {
-				cov.Hit("pass:" + pass.Name + ":cached")
-			}
 		}
-		timings = append(timings, PassTiming{Pass: pass.Name, Duration: time.Since(t0), Cached: st.cached})
+		timings = append(timings, PassTiming{Pass: pass.Name, Duration: time.Since(t0)})
 	}
 	if st.Result == nil {
 		return nil, fmt.Errorf("core: pipeline has no emit pass")

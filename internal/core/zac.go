@@ -71,8 +71,7 @@ type Result struct {
 	TotalMoves       int
 
 	// Passes holds the per-pass wall-time instrumentation of the pipeline
-	// run that produced this result (nil for results predating the pipeline
-	// in an old disk cache).
+	// run that produced this result.
 	Passes []PassTiming
 }
 
@@ -98,8 +97,8 @@ func Compile(c *circuit.Circuit, a *arch.Architecture, opts Options) (*Result, e
 
 // CompileStaged compiles an already-preprocessed staged circuit by running
 // the standard pass pipeline (validate → place → schedule → emit →
-// fidelity) without cancellation or pass memoization. Callers needing
-// either use Standard().Run directly (the compiler registry does).
+// fidelity) without cancellation. Callers needing it use Standard().Run
+// directly (the compiler registry does).
 func CompileStaged(staged *circuit.Staged, a *arch.Architecture, opts Options) (*Result, error) {
-	return Standard().Run(context.Background(), staged, a, opts, Hooks{})
+	return Standard().Run(context.Background(), staged, a, opts)
 }

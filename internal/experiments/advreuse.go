@@ -37,19 +37,19 @@ func AdvReuse(ctx context.Context, cfg Config, subset []string) ([]*Table, error
 		return o
 	}()}
 	variants := []struct {
-		optKey string
-		opts   core.Options
+		label string
+		opts  core.Options
 	}{
 		{core.SettingSADynPlaceReuse, core.Default()},
 		{"advReuse", advOpts},
 	}
 	results, err := mapRows(ctx, cfg, len(benches)*len(variants), func(k int) (*core.Result, error) {
 		b, v := benches[k/len(variants)], variants[k%len(variants)]
-		r, err := cachedZAC(ctx, cfg, b, a, v.optKey, v.opts)
+		r, err := compileZAC(ctx, cfg, b, a, v.opts)
 		if err != nil {
 			return nil, err
 		}
-		cfg.progressf("advreuse: %s/%s", b.Name, v.optKey)
+		cfg.progressf("advreuse: %s/%s", b.Name, v.label)
 		return r, nil
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func Sweep(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 		c, b := groups[tk.g].cfgs[tk.c], benches[tk.b]
 		o := place.Default()
 		c.mut(&o)
-		r, err := cachedZAC(ctx, cfg, b, a, "sweep|"+c.name, core.Options{Place: o})
+		r, err := compileZAC(ctx, cfg, b, a, core.Options{Place: o})
 		if err != nil {
 			return 0, err
 		}

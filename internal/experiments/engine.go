@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"zac/internal/compiler"
 	"zac/internal/engine"
 )
 
@@ -25,10 +24,11 @@ type Config struct {
 	// Progress, when non-nil, receives a one-line message as each unit of
 	// work completes.
 	Progress func(msg string)
-	// SARestarts, when > 1, overrides the ZAC-family initial-placement
-	// restart count (independent annealing chains, best kept). It changes
-	// compiled outputs, so it joins the harness cache key; 0 and 1 keep the
-	// presets' single-chain default and the seed's keys.
+	// SARestarts, when positive, overrides the ZAC-family initial-placement
+	// restart count (independent annealing chains, best kept). Values > 1
+	// change compiled outputs; the cache key (compiler.Key) carries the
+	// resolved count, so 0 and 1 (both a single chain) share one entry.
+	// The native-CCZ column of NativeCCZ always runs one chain.
 	SARestarts int
 	// Workers bounds each compilation's intra-compile parallelism (0 = all
 	// cores). Speed-only: it never changes outputs and stays out of every
@@ -46,28 +46,14 @@ func (c Config) progressf(format string, args ...any) {
 	}
 }
 
-// compileCache memoizes every compilation the harness performs, keyed on
-// circuit name + compiler + architecture fingerprint (+ option preset), so
-// circuits shared across experiments — e.g. the representative subset reused
-// by Fig8/Fig9/Fig10/Table2 — compile once per process. The LRU is sized far
+// compileCache memoizes every compilation the harness performs, keyed by
+// compiler.Key, plus the staged circuits they compile, so circuits shared
+// across experiments — e.g. the representative subset reused by
+// Fig8/Fig9/Fig10/Table2 — compile once per process. The LRU is sized far
 // above the full suite's entry count. It is memory-only: recompiling the
 // whole paper suite takes about a second, less than reading it back from
 // disk, so results always carry their placement plan and staged circuit.
 var compileCache = engine.NewTiered(8192)
-
-// compileArtifacts is the pass-artifact view of the process-wide cache:
-// staged circuits and placement plans computed once and shared across every
-// compiler the harness drives.
-var compileArtifacts = compiler.NewArtifacts(compileCache)
-
-// artifacts returns the shared pass-artifact cache, or nil when the config
-// opted out of caching (a nil Artifacts computes everything in place).
-func (c Config) artifacts() *compiler.Artifacts {
-	if c.NoCache {
-		return nil
-	}
-	return compileArtifacts
-}
 
 // cached routes a computation through the process-wide cache unless the
 // config opted out.

@@ -5,6 +5,7 @@ import (
 
 	"zac/internal/arch"
 	"zac/internal/bench"
+	"zac/internal/compiler"
 	"zac/internal/core"
 )
 
@@ -36,17 +37,24 @@ func NativeCCZ(ctx context.Context, cfg Config, subset []string) ([]*Table, erro
 	}
 	ref := arch.Reference()
 	triple := arch.ReferenceTriple()
+	zc, err := compiler.Get("zac")
+	if err != nil {
+		return nil, err
+	}
 	results, err := mapRows(ctx, cfg, len(benches)*2, func(k int) (*core.Result, error) {
 		b, native := benches[k/2], k%2 == 1
 		if native {
-			r, err := cachedZACNativeCCZ(ctx, cfg, b, triple)
+			// One annealing chain whatever cfg.SARestarts says: the column
+			// has always compiled the preset.
+			r, err := cachedCompile(ctx, cfg, zc, compiler.Options{Workers: cfg.Workers},
+				nativeCCZInput(b), triple.TotalSites(), triple)
 			if err != nil {
 				return nil, err
 			}
 			cfg.progressf("nativeccz: %s/native", b.Name)
 			return r, nil
 		}
-		r, err := cachedZAC(ctx, cfg, b, ref, core.SettingSADynPlaceReuse, core.Default())
+		r, err := compileZAC(ctx, cfg, b, ref, core.Default())
 		if err != nil {
 			return nil, err
 		}

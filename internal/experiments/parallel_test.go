@@ -5,6 +5,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"zac/internal/arch"
+	"zac/internal/bench"
+	"zac/internal/circuit"
+	"zac/internal/compiler"
+	"zac/internal/resynth"
 )
 
 // render flattens an experiment's tables to one comparable string.
@@ -89,6 +95,59 @@ func TestCacheHitAcrossExperiments(t *testing.T) {
 	}
 	if hits := after10.Hits() - after9.Hits(); hits < uint64(len(fast)*len(naCols)) {
 		t.Errorf("fig10 should hit the cache for every (circuit, compiler) cell: got %d hits", hits)
+	}
+}
+
+// TestEqualConfigurationsShareCompiles: the cache key is the resolved
+// configuration, not the label an experiment gives it. After CompilerSweep
+// has compiled zac and zac-advreuse, AdvReuse's two columns are cache hits,
+// and so are Sweep's δ=2, k=2, α=0.1 and SA=1000 cells, which all run the
+// default configuration: Sweep misses once per circuit for each of its
+// eight other cells.
+func TestEqualConfigurationsShareCompiles(t *testing.T) {
+	ResetCache()
+	ctx := context.Background()
+	cfg := Config{Parallel: 2}
+	if _, err := CompilerSweep(ctx, cfg, fast, []string{"zac", "zac-advreuse"}); err != nil {
+		t.Fatal(err)
+	}
+	before := CacheStats()
+	if _, err := AdvReuse(ctx, cfg, fast); err != nil {
+		t.Fatal(err)
+	}
+	if got := CacheStats().Misses - before.Misses; got != 0 {
+		t.Errorf("AdvReuse after CompilerSweep: %d cache misses, want 0", got)
+	}
+	before = CacheStats()
+	if _, err := Sweep(ctx, cfg, fast); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := CacheStats().Misses-before.Misses, uint64(8*len(fast)); got != want {
+		t.Errorf("Sweep after CompilerSweep: %d cache misses, want %d (one per non-default cell)", got, want)
+	}
+}
+
+// TestStagedSharedAcrossCompilers: compilers asking for the same input
+// split to the same cap share one preprocessing computation.
+func TestStagedSharedAcrossCompilers(t *testing.T) {
+	ResetCache()
+	builds := 0
+	in := input{key: "ghz8", preprocess: func() (*circuit.Staged, error) {
+		builds++
+		return resynth.Preprocess(bench.GHZ(8))
+	}}
+	split := arch.Reference().TotalSites()
+	for _, name := range []string{"zac", "enola", "nalac"} {
+		c, err := compiler.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cachedCompile(context.Background(), Config{Parallel: 1}, c, compiler.Options{}, in, split, compiler.TargetArch(c)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if builds != 1 {
+		t.Errorf("staged circuit built %d times, want 1", builds)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"zac/internal/arch"
 	"zac/internal/bench"
+	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/fidelity"
 	"zac/internal/ftqc"
@@ -108,13 +109,17 @@ func Fig1c(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 		Columns: []string{"2Q-pure", "excitation", "transfer", "decoherence", "1Q", "total"},
 	}
 	mono := arch.Monolithic()
+	enola, err := compiler.Get("enola")
+	if err != nil {
+		return nil, err
+	}
 	rows, err := mapRows(ctx, cfg, len(benches), func(i int) (fidelity.Breakdown, error) {
-		r, err := evalCompilerOn(ctx, cfg, "enola", benches[i], mono, mono)
+		r, err := cachedCompile(ctx, cfg, enola, compiler.Options{}, benchInput(benches[i]), mono.TotalSites(), mono)
 		if err != nil {
 			return fidelity.Breakdown{}, err
 		}
 		cfg.progressf("fig1c: %s", benches[i].Name)
-		return r.breakdown, nil
+		return r.Breakdown, nil
 	})
 	if err != nil {
 		return nil, err
@@ -225,7 +230,7 @@ func Table2(ctx context.Context, cfg Config, subset []string) ([]*Table, error) 
 		sc  naResult
 	}
 	pairs, err := mapRows(ctx, cfg, len(benches), func(i int) (pair, error) {
-		zr, err := cachedZAC(ctx, cfg, benches[i], zoned, core.SettingSADynPlaceReuse, core.Default())
+		zr, err := compileZAC(ctx, cfg, benches[i], zoned, core.Default())
 		if err != nil {
 			return pair{}, err
 		}
@@ -287,15 +292,14 @@ func Fig11(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 		return nil, err
 	}
 	t := &Table{Title: "Fig 11: ZAC technique ablation (fidelity)", Columns: ablationSettings}
-	a := arch.Reference()
 	vals, err := mapRows(ctx, cfg, len(benches)*len(ablationSettings), func(k int) (float64, error) {
 		b, s := benches[k/len(ablationSettings)], ablationSettings[k%len(ablationSettings)]
-		r, err := cachedZAC(ctx, cfg, b, a, s, core.OptionsFor(s))
+		r, err := evalCompiler(ctx, cfg, s, b)
 		if err != nil {
 			return 0, fmt.Errorf("%s/%s: %w", b.Name, s, err)
 		}
 		cfg.progressf("fig11: %s/%s", b.Name, s)
-		return r.Breakdown.Total, nil
+		return r.breakdown.Total, nil
 	})
 	if err != nil {
 		return nil, err
@@ -322,23 +326,22 @@ func Fig12(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 		return nil, err
 	}
 	cfg.NoCache = true
-	a := arch.Reference()
 	t := &Table{
 		Title:   "Fig 12: compilation time vs fidelity",
 		Columns: []string{"time(s)", "fidelity"},
 	}
-	// Row configurations: the four ZAC settings, then the three NA baselines.
+	// Row configurations: the four ZAC settings (registry aliases), then the
+	// three NA baselines.
 	type rowCfg struct {
-		label   string
-		setting string // non-empty for ZAC rows
-		col     string // non-empty for baseline rows
+		label    string
+		compiler string
 	}
 	var rcs []rowCfg
 	for _, s := range ablationSettings {
-		rcs = append(rcs, rowCfg{label: "ZAC-" + s, setting: s})
+		rcs = append(rcs, rowCfg{label: "ZAC-" + s, compiler: s})
 	}
 	for _, col := range []string{ColAtomique, ColEnola, ColNALAC} {
-		rcs = append(rcs, rowCfg{label: col, col: col})
+		rcs = append(rcs, rowCfg{label: col, compiler: colCompilers[col]})
 	}
 	type cell struct {
 		secs float64
@@ -346,15 +349,7 @@ func Fig12(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 	}
 	cells, err := mapRows(ctx, cfg, len(rcs)*len(benches), func(k int) (cell, error) {
 		rc, b := rcs[k/len(benches)], benches[k%len(benches)]
-		if rc.setting != "" {
-			r, err := cachedZAC(ctx, cfg, b, a, rc.setting, core.OptionsFor(rc.setting))
-			if err != nil {
-				return cell{}, err
-			}
-			cfg.progressf("fig12: %s/%s", b.Name, rc.label)
-			return cell{r.CompileTime.Seconds(), r.Breakdown.Total}, nil
-		}
-		r, err := evalCol(ctx, cfg, rc.col, b)
+		r, err := evalCompiler(ctx, cfg, rc.compiler, b)
 		if err != nil {
 			return cell{}, err
 		}
@@ -395,19 +390,15 @@ func Fig13(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 	}
 	rows, err := mapRows(ctx, cfg, len(benches), func(i int) (map[string]float64, error) {
 		b := benches[i]
-		staged, err := cachedStaged(cfg, b, a)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cachedZAC(ctx, cfg, b, a, core.SettingSADynPlaceReuse, core.Default())
+		r, err := compileZAC(ctx, cfg, b, a, core.Default())
 		if err != nil {
 			return nil, err
 		}
 		cfg.progressf("fig13: %s", b.Name)
 		return map[string]float64{
-			"PerfectReuse":     core.PerfectReuse(a, staged, r.Plan).Total,
-			"PerfectPlacement": core.PerfectPlacement(a, staged, r.Plan).Total,
-			"PerfectMovement":  core.PerfectMovement(a, staged, r.Plan).Total,
+			"PerfectReuse":     core.PerfectReuse(a, r.Staged, r.Plan).Total,
+			"PerfectPlacement": core.PerfectPlacement(a, r.Staged, r.Plan).Total,
+			"PerfectMovement":  core.PerfectMovement(a, r.Staged, r.Plan).Total,
 			"ZAC":              r.Breakdown.Total,
 		}, nil
 	})
@@ -434,7 +425,7 @@ func Fig14(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 	vals, err := mapRows(ctx, cfg, len(benches)*nAODs, func(k int) (float64, error) {
 		b, n := benches[k/nAODs], k%nAODs+1
 		a := arch.WithAODs(arch.Reference(), n)
-		r, err := cachedZAC(ctx, cfg, b, a, core.SettingSADynPlaceReuse, core.Default())
+		r, err := compileZAC(ctx, cfg, b, a, core.Default())
 		if err != nil {
 			return 0, err
 		}
@@ -474,7 +465,7 @@ func MultiZone(ctx context.Context, cfg Config, subset []string) ([]*Table, erro
 	}
 	rows, err := mapRows(ctx, cfg, len(cases), func(i int) (map[string]float64, error) {
 		tc := cases[i]
-		r, err := cachedZAC(ctx, cfg, b, tc.a, core.SettingSADynPlaceReuse, core.Default())
+		r, err := compileZAC(ctx, cfg, b, tc.a, core.Default())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
@@ -531,15 +522,11 @@ func ZAIRStats(ctx context.Context, cfg Config, subset []string) ([]*Table, erro
 	}
 	rows, err := mapRows(ctx, cfg, len(benches), func(i int) (map[string]float64, error) {
 		b := benches[i]
-		staged, err := cachedStaged(cfg, b, a)
+		r, err := compileZAC(ctx, cfg, b, a, core.Default())
 		if err != nil {
 			return nil, err
 		}
-		r, err := cachedZAC(ctx, cfg, b, a, core.SettingSADynPlaceReuse, core.Default())
-		if err != nil {
-			return nil, err
-		}
-		one, two := staged.GateCounts()
+		one, two := r.Staged.GateCounts()
 		gates := float64(one + two)
 		stats := r.Program.CountStats()
 		cfg.progressf("zair: %s", b.Name)

@@ -189,10 +189,6 @@ type MetricsResponse struct {
 	InFlightCompiles int64 `json:"inflight_compiles"`
 	// Cache reports the whole-compile cache hierarchy's counters.
 	Cache CacheMetrics `json:"cache"`
-	// PassCache reports the pass-artifact cache's counters: staged circuits
-	// and placement plans memoized at pass granularity and shared across
-	// compilers.
-	PassCache CacheMetrics `json:"pass_cache"`
 	// Admission reports the admission controller's state: queue occupancy,
 	// shed requests, deadline misses, and whether the server is draining.
 	Admission AdmissionMetrics `json:"admission"`

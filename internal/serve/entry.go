@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zac/internal/arch"
+	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/engine"
 	"zac/internal/fidelity"
@@ -20,15 +21,12 @@ import (
 // which is thus never looked up, let alone decoded as an entry.
 const entryKeyPrefix = "serve.v2|"
 
-// entryKey is the cache identity of one compilation: compiler, circuit,
-// architecture and, when it changes the compiled bytes, the SA restart
-// count. Workers never joins the key — it only changes compile speed.
-func entryKey(compiler, circKey string, a *arch.Architecture, saRestarts int) string {
-	key := entryKeyPrefix + compiler + "|" + circKey + "|arch=" + a.Fingerprint()
-	if saRestarts > 1 {
-		key += fmt.Sprintf("|sar=%d", saRestarts)
-	}
-	return key
+// entryKey is the cache identity of one compilation: compiler.Key over the
+// request's compiler, options, circuit and architecture, with the staging
+// split to the compiler's StageSplitCap. Options that only change compile
+// speed (Workers), or that the compiler ignores, never change it.
+func entryKey(c compiler.Compiler, opts compiler.Options, circKey string, a *arch.Architecture) string {
+	return entryKeyPrefix + compiler.Key(c, opts, circKey, compiler.StageSplitCap(c), a)
 }
 
 // entry is one finished compilation as zac-serve caches it: the scalars of

@@ -15,6 +15,7 @@ import (
 
 	"zac/internal/arch"
 	"zac/internal/bench"
+	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/engine"
 	"zac/internal/fidelity"
@@ -31,7 +32,17 @@ func ghz3Key(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return entryKey("zac", circKey, arch.Reference(), 0)
+	return zacEntryKey(t, circKey)
+}
+
+// zacEntryKey is the cache key of a default zac compile of circKey.
+func zacEntryKey(t *testing.T, circKey string) string {
+	t.Helper()
+	zc, err := compiler.Get("zac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entryKey(zc, compiler.Options{}, circKey, arch.Reference())
 }
 
 // referenceReplies is what a server without a disk tier answers for body:
@@ -266,7 +277,7 @@ func TestConcurrentHitsShareZAIR(t *testing.T) {
 		t.Error(err)
 	}
 
-	v, err := s.cache.Do(entryKey("zac", "circ=bv_n14", arch.Reference(), 0), entryCodec, func() (any, error) {
+	v, err := s.cache.Do(zacEntryKey(t, "circ=bv_n14"), entryCodec, func() (any, error) {
 		return nil, errors.New("the entry left the cache")
 	})
 	if err != nil {

@@ -44,7 +44,6 @@ func (s *Server) Metrics() MetricsResponse {
 		CompilesTotal:    s.compiles.Load(),
 		InFlightCompiles: s.inflight.Load(),
 		Cache:            cacheMetrics(s.cache.Stats()),
-		PassCache:        cacheMetrics(s.artifacts.Stats()),
 		Admission: AdmissionMetrics{
 			QueueDepth:       s.waiting.Load(),
 			QueueLimit:       s.opts.QueueDepth,

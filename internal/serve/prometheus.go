@@ -75,60 +75,35 @@ func PrometheusText(m MetricsResponse) []byte {
 	p.family("zac_inflight_compiles", "Compilations currently executing.", "gauge")
 	p.sample("zac_inflight_compiles", float64(m.InFlightCompiles))
 
-	caches := []struct {
-		label string
-		c     CacheMetrics
-	}{{"compile", m.Cache}, {"pass", m.PassCache}}
-
+	// The whole-compile cache is the only one; the "cache" label stays so
+	// dashboards keyed on it keep matching.
+	c := m.Cache
 	p.family("zac_cache_hits_total", "Cache lookups served without computing, by cache and tier.", "counter")
-	for _, e := range caches {
-		p.sample("zac_cache_hits_total", float64(e.c.MemHits), "cache", e.label, "tier", "mem")
-		p.sample("zac_cache_hits_total", float64(e.c.DiskHits), "cache", e.label, "tier", "disk")
-	}
+	p.sample("zac_cache_hits_total", float64(c.MemHits), "cache", "compile", "tier", "mem")
+	p.sample("zac_cache_hits_total", float64(c.DiskHits), "cache", "compile", "tier", "disk")
 	p.family("zac_cache_misses_total", "Cache lookups that computed from scratch.", "counter")
-	for _, e := range caches {
-		p.sample("zac_cache_misses_total", float64(e.c.Misses), "cache", e.label)
-	}
+	p.sample("zac_cache_misses_total", float64(c.Misses), "cache", "compile")
 	p.family("zac_cache_hit_ratio", "Hits over lookups in [0,1].", "gauge")
-	for _, e := range caches {
-		p.sample("zac_cache_hit_ratio", e.c.HitRate, "cache", e.label)
-	}
+	p.sample("zac_cache_hit_ratio", c.HitRate, "cache", "compile")
 	p.family("zac_cache_mem_entries", "Resident entries in the LRU memory front.", "gauge")
-	for _, e := range caches {
-		p.sample("zac_cache_mem_entries", float64(e.c.MemEntries), "cache", e.label)
-	}
+	p.sample("zac_cache_mem_entries", float64(c.MemEntries), "cache", "compile")
 	p.family("zac_cache_disk_entries", "Entries in the disk tier.", "gauge")
-	for _, e := range caches {
-		p.sample("zac_cache_disk_entries", float64(e.c.DiskEntries), "cache", e.label)
-	}
+	p.sample("zac_cache_disk_entries", float64(c.DiskEntries), "cache", "compile")
 	p.family("zac_cache_disk_bytes", "Total size of the disk tier in bytes.", "gauge")
-	for _, e := range caches {
-		p.sample("zac_cache_disk_bytes", float64(e.c.DiskBytes), "cache", e.label)
-	}
+	p.sample("zac_cache_disk_bytes", float64(c.DiskBytes), "cache", "compile")
 	p.family("zac_cache_disk_retries_total", "Disk operations retried after transient I/O errors.", "counter")
-	for _, e := range caches {
-		p.sample("zac_cache_disk_retries_total", float64(e.c.DiskRetries), "cache", e.label)
-	}
+	p.sample("zac_cache_disk_retries_total", float64(c.DiskRetries), "cache", "compile")
 	p.family("zac_cache_disk_failures_total", "Disk operations that exhausted their retries.", "counter")
-	for _, e := range caches {
-		p.sample("zac_cache_disk_failures_total", float64(e.c.DiskFailures), "cache", e.label)
-	}
+	p.sample("zac_cache_disk_failures_total", float64(c.DiskFailures), "cache", "compile")
 	p.family("zac_cache_breaker_opens_total", "Disk circuit-breaker transitions to open.", "counter")
-	for _, e := range caches {
-		p.sample("zac_cache_breaker_opens_total", float64(e.c.BreakerOpens), "cache", e.label)
-	}
+	p.sample("zac_cache_breaker_opens_total", float64(c.BreakerOpens), "cache", "compile")
 	p.family("zac_cache_breaker_skips_total", "Disk operations short-circuited while the breaker was open.", "counter")
-	for _, e := range caches {
-		p.sample("zac_cache_breaker_skips_total", float64(e.c.BreakerSkips), "cache", e.label)
-	}
+	p.sample("zac_cache_breaker_skips_total", float64(c.BreakerSkips), "cache", "compile")
 	p.family("zac_cache_breaker_state", "Disk circuit-breaker state, one-hot by state label.", "gauge")
-	for _, e := range caches {
-		if e.c.BreakerState == "" {
-			continue // no disk tier attached
-		}
+	if c.BreakerState != "" { // empty: no disk tier attached
 		for _, state := range []string{"closed", "half-open", "open"} {
-			p.sample("zac_cache_breaker_state", boolGauge(e.c.BreakerState == state),
-				"cache", e.label, "state", state)
+			p.sample("zac_cache_breaker_state", boolGauge(c.BreakerState == state),
+				"cache", "compile", "state", state)
 		}
 	}
 

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// promFixture is a fully populated metrics snapshot: every family, both
-// caches, a disk breaker state, jobs in two statuses, and per-compiler and
+// promFixture is a fully populated metrics snapshot: every family, a disk
+// breaker state, jobs in two statuses, and per-compiler and
 // per-pass latency — so the golden exercises each exposition branch.
 func promFixture() MetricsResponse {
 	return MetricsResponse{
@@ -20,9 +20,6 @@ func promFixture() MetricsResponse {
 			MemEntries: 7, DiskEntries: 12, DiskBytes: 65536,
 			DiskRetries: 2, DiskFailures: 1, BreakerOpens: 1, BreakerSkips: 4,
 			BreakerState: "half-open",
-		},
-		PassCache: CacheMetrics{
-			MemHits: 9, Misses: 6, HitRate: 0.6, MemEntries: 6,
 		},
 		Admission: AdmissionMetrics{
 			QueueDepth: 2, QueueLimit: 64, Shed: 11, DeadlineExceeded: 1, Draining: true,

@@ -8,8 +8,8 @@
 // optional content-addressed disk back tier), so identical requests are
 // served from cache — across restarts when a cache directory is attached —
 // and the emitted ZAIR is byte-identical to the `zac -out` CLI encoding.
-// Preprocessing and placement artifacts are additionally memoized at pass
-// granularity, shared across compilers.
+// Entries are keyed by compiler.Key, the one compile identity every cache
+// shares.
 //
 // Request contexts propagate into the pass pipeline: when a client
 // disconnects mid-compile, the compilation stops at the next pass or stage
@@ -24,8 +24,8 @@
 //	DELETE /v1/jobs/{id}   cancel an async job
 //	GET    /healthz        liveness probe
 //	GET    /readyz         readiness probe: 503 while draining for shutdown
-//	GET    /metrics        cache hit rates (whole-compile and pass-level),
-//	                       in-flight compiles, per-compiler and per-pass latency,
+//	GET    /metrics        cache hit rates by tier, in-flight compiles,
+//	                       per-compiler and per-pass latency,
 //	                       admission queue/shed counters, disk breaker state
 //
 // The service is built to degrade rather than collapse: compilations that
@@ -103,12 +103,10 @@ var ErrOverloaded = errors.New("server overloaded: compile admission queue is fu
 var ErrDraining = errors.New("server is draining")
 
 // Server is the zac-serve request handler: a tiered compilation cache, a
-// pass-artifact cache shared across registry compilers, a
 // compile-concurrency semaphore, the async job table, and service counters.
 type Server struct {
 	opts      Options
 	cache     *engine.Tiered
-	artifacts *compiler.Artifacts
 	sem       chan struct{}
 	telemetry *telemetry.Recorder // nil when tracing is disabled
 	log       *slog.Logger
@@ -159,9 +157,6 @@ func New(opts Options) *Server {
 	if opts.Disk != nil {
 		cache.SetDisk(opts.Disk)
 	}
-	// Pass artifacts (staged circuits, placement plans) stay memory-only:
-	// they hold pointer graphs the disk tier cannot represent, and they
-	// rebuild cheaply relative to a full compile.
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -169,7 +164,6 @@ func New(opts Options) *Server {
 	return &Server{
 		opts:      opts,
 		cache:     cache,
-		artifacts: compiler.NewArtifacts(engine.NewTiered(opts.MemEntries)),
 		sem:       make(chan struct{}, engine.Workers(opts.Parallel)),
 		telemetry: opts.Telemetry,
 		log:       logger,
@@ -456,7 +450,8 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, defaultComp
 		return nil, "", fmt.Errorf("workers must be non-negative, got %d", req.Workers)
 	}
 
-	key := entryKey(c.Name(), circKey, a, req.SARestarts)
+	opts := compiler.Options{SARestarts: req.SARestarts, Workers: s.compileWorkers(req.Workers)}
+	key := entryKey(c, opts, circKey, a)
 	// DoCtxTier gives the computation a context cancelled only when every
 	// request sharing it has disconnected, so one client abandoning a
 	// compile never fails an identical concurrent request.
@@ -475,17 +470,12 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, defaultComp
 		if err != nil {
 			return nil, err
 		}
-		staged, err := s.stagedInput(c, circKey, circ)
+		staged, err := stagedInput(c, circ)
 		if err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
-		r, err := c.Compile(ctx, staged, a, compiler.Options{
-			Key:        circKey,
-			Artifacts:  s.artifacts,
-			SARestarts: req.SARestarts,
-			Workers:    s.compileWorkers(req.Workers),
-		})
+		r, err := c.Compile(ctx, staged, a, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -548,15 +538,17 @@ func (s *Server) admit(ctx context.Context) (bool, error) {
 	}
 }
 
-// stagedInput preprocesses the circuit for the chosen compiler through the
-// pass-artifact cache, shaped by the registry-wide StageSplitCap rule:
-// ZAC-family compilers consume the unsplit staging (so the service's ZAIR
-// stays byte-identical to the `zac` CLI) and baselines split to the zoned
-// reference capacity, matching the experiment harness.
-func (s *Server) stagedInput(c compiler.Compiler, circKey string, circ *circuit.Circuit) (*circuit.Staged, error) {
-	return s.artifacts.Staged(circKey, compiler.StageSplitCap(c), func() (*circuit.Staged, error) {
-		return resynth.Preprocess(circ)
-	})
+// stagedInput preprocesses the circuit for the chosen compiler, shaped by
+// the registry-wide StageSplitCap rule: ZAC-family compilers consume the
+// unsplit staging (so the service's ZAIR stays byte-identical to the `zac`
+// CLI) and baselines split to the zoned reference capacity, matching the
+// experiment harness.
+func stagedInput(c compiler.Compiler, circ *circuit.Circuit) (*circuit.Staged, error) {
+	staged, err := resynth.Preprocess(circ)
+	if err != nil {
+		return nil, err
+	}
+	return circuit.SplitRydbergStages(staged, compiler.StageSplitCap(c)), nil
 }
 
 // resolveCompiler picks the registry compiler for one request — the
@@ -691,6 +683,3 @@ func record(m map[string]*latencyAgg, key string, d time.Duration) {
 // CacheStats exposes the whole-compile cache hierarchy's counters (used by
 // tests and the metrics endpoint).
 func (s *Server) CacheStats() engine.TieredStats { return s.cache.Stats() }
-
-// PassCacheStats exposes the pass-artifact cache's counters.
-func (s *Server) PassCacheStats() engine.TieredStats { return s.artifacts.Stats() }
