@@ -170,6 +170,11 @@ func Gate(baseline, current []Record, opts GateOptions) ([]Verdict, error) {
 		}
 		verdicts = append(verdicts, skip)
 	}
+	for name := range news {
+		if _, ok := olds[name]; !ok {
+			verdicts = append(verdicts, Verdict{Case: name, Mode: ModeSkipped, Note: "present in current run but missing in baseline"})
+		}
+	}
 	// Verdicts of one case stay in metrics order: the sort is stable and
 	// each case's verdicts were appended together.
 	sort.SliceStable(verdicts, func(i, j int) bool { return verdicts[i].Case < verdicts[j].Case })

@@ -116,20 +116,30 @@ func TestGateRefusesFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// A case that disappeared from the current run is flagged; the case present
-// on both sides is still compared.
+// A case that disappeared from the current run is flagged; a case new in
+// the current run is reported as skipped without failing the gate; the case
+// present on both sides is still compared.
 func TestGateMissingCase(t *testing.T) {
 	old := []Record{
 		rec("m1", "base", "micro/jv_dense", 1, baseSamples...),
 		rec("m1", "base", "micro/sa_initial", 1, baseSamples...),
 	}
-	cur := []Record{rec("m1", "cur", "micro/sa_initial", 2, baseSamples...)}
+	cur := []Record{
+		rec("m1", "cur", "micro/sa_initial", 2, baseSamples...),
+		rec("m1", "cur", "micro/zz_new", 2, baseSamples...),
+	}
 	verdicts, err := Gate(old, cur, GateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(verdicts) != 2 {
+	if len(verdicts) != 3 {
 		t.Fatalf("verdicts = %+v, want one per case", verdicts)
+	}
+	if added := verdicts[2]; added.Case != "micro/zz_new" || added.Mode != ModeSkipped || added.Regressed || !strings.Contains(added.Note, "missing in baseline") {
+		t.Errorf("new case verdict = %+v", added)
+	}
+	if n := Regressions(verdicts); n != 1 {
+		t.Errorf("Regressions = %d, want 1 (only the missing case)", n)
 	}
 	missing, kept := verdicts[0], verdicts[1]
 	if missing.Case != "micro/jv_dense" || missing.Mode != ModeSkipped || !missing.Regressed || !strings.Contains(missing.Note, "missing") {

@@ -64,7 +64,7 @@ func TestParallelByteIdentity(t *testing.T) {
 
 // TestParallelArchIdentity pins that a forced non-reference architecture is
 // equally worker-independent — the triple-trap target drives different
-// matching shapes through the reuse/no-reuse race.
+// matching shapes through the restart chains and the transition solves.
 func TestParallelArchIdentity(t *testing.T) {
 	ctx := context.Background()
 	c, err := Get("zac")

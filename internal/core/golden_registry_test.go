@@ -24,9 +24,22 @@ import (
 	"zac/internal/core"
 	"zac/internal/place"
 	"zac/internal/resynth"
+	"zac/internal/workload"
 )
 
 const registryGoldenPath = "testdata/registry.golden"
+
+// forgeScaleSpecs mirror perfbench's forge-scale inputs (forgeSpecs in
+// perfbench/main.go): large circuits whose transitions exercise placement
+// at a size the paper subset does not reach.
+var forgeScaleSpecs = []string{
+	"qaoa:n=128,p=2,seed=1",
+	"qaoa:n=192,p=2,seed=1",
+	"ising:n=256,layers=4",
+	"shuffle:n=128,depth=40,seed=1",
+	"rb:n=64,depth=30,seed=1",
+	"clifford:n=64,gates=3000,seed=1",
+}
 
 func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
@@ -66,7 +79,9 @@ func registryDigest(t *testing.T, r *core.Result) string {
 
 // TestRegistryMatchesGolden compiles the golden subset through every
 // registry compiler, shaped as `zac -out` and zac-serve shape it (the
-// compiler's target architecture, staging split to its StageSplitCap). The
+// compiler's target architecture, staging split to its StageSplitCap), and
+// the forge-scale specs through zac at Workers 1 and 2, split to site
+// capacity as `zac-bench -workload` and perfbench split them. The
 // zac compiler's plans and programs must match the hashes
 // TestGoldenDeterminism pins for core.CompileStaged, so the registry seam
 // cannot drift from the direct entry point; every compiler's program,
@@ -111,6 +126,29 @@ func TestRegistryMatchesGolden(t *testing.T) {
 			if g, progHash := determinism["zair/"+name+"/"+core.SettingSADynPlaceReuse], sha(t, res.Program); g != progHash {
 				t.Errorf("%s: ZAIR hash through registry differs from golden\n  golden:  %s\n  current: %s", name, g, progHash)
 			}
+		}
+	}
+	zc, err := compiler.Get("zac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := compiler.TargetArch(zc)
+	for _, spec := range forgeScaleSpecs {
+		c, err := workload.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged, err := resynth.Preprocess(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := circuit.SplitRydbergStages(staged, a.TotalSites())
+		for _, workers := range []int{1, 2} {
+			res, err := zc.Compile(context.Background(), in, a, compiler.Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("zac/%s: %v", spec, err)
+			}
+			got[fmt.Sprintf("zac/%s/workers=%d", spec, workers)] = registryDigest(t, res)
 		}
 	}
 

@@ -28,7 +28,6 @@ type Config struct {
 	// restart count (independent annealing chains, best kept). Values > 1
 	// change compiled outputs; the cache key (compiler.Key) carries the
 	// resolved count, so 0 and 1 (both a single chain) share one entry.
-	// The native-CCZ column of NativeCCZ always runs one chain.
 	SARestarts int
 	// Workers bounds each compilation's intra-compile parallelism (0 = all
 	// cores). Speed-only: it never changes outputs and stays out of every

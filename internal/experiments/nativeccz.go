@@ -44,9 +44,7 @@ func NativeCCZ(ctx context.Context, cfg Config, subset []string) ([]*Table, erro
 	results, err := mapRows(ctx, cfg, len(benches)*2, func(k int) (*core.Result, error) {
 		b, native := benches[k/2], k%2 == 1
 		if native {
-			// One annealing chain whatever cfg.SARestarts says: the column
-			// has always compiled the preset.
-			r, err := cachedCompile(ctx, cfg, zc, compiler.Options{Workers: cfg.Workers},
+			r, err := cachedCompile(ctx, cfg, zc, compiler.Options{SARestarts: cfg.SARestarts, Workers: cfg.Workers},
 				nativeCCZInput(b), triple.TotalSites(), triple)
 			if err != nil {
 				return nil, err

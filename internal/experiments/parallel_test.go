@@ -201,3 +201,41 @@ func TestSequentialConfigDefault(t *testing.T) {
 		t.Fatal("Sequential() must pin one worker")
 	}
 }
+
+// TestNativeCCZHonorsSARestarts checks that both NativeCCZ columns compile
+// with Config.SARestarts chains: under four restarts, each column's
+// fidelity must equal a direct four-chain compile of its input.
+func TestNativeCCZHonorsSARestarts(t *testing.T) {
+	ctx := context.Background()
+	const name = "seca_n11"
+	tabs, err := NativeCCZ(ctx, Config{Parallel: 2, NoCache: true, SARestarts: 4}, []string{name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := bench.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zc, err := compiler.Get("zac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := compiler.Options{SARestarts: 4}
+	ref, triple := arch.Reference(), arch.ReferenceTriple()
+	cfg := Config{Parallel: 1, NoCache: true}
+	decomposed, err := cachedCompile(ctx, cfg, zc, opts, benchInput(b), ref.TotalSites(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	native, err := cachedCompile(ctx, cfg, zc, opts, nativeCCZInput(b), triple.TotalSites(), triple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tabs[0].Rows[0].Values
+	if got["decomposed"] != decomposed.Breakdown.Total {
+		t.Errorf("decomposed fidelity %v, want the four-chain compile's %v", got["decomposed"], decomposed.Breakdown.Total)
+	}
+	if got["nativeCCZ"] != native.Breakdown.Total {
+		t.Errorf("nativeCCZ fidelity %v, want the four-chain compile's %v", got["nativeCCZ"], native.Breakdown.Total)
+	}
+}

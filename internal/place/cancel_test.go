@@ -19,7 +19,7 @@ import (
 	"zac/internal/schedule"
 )
 
-func stagedBench(t *testing.T, name string) *circuit.Staged {
+func stagedBench(t testing.TB, name string) *circuit.Staged {
 	t.Helper()
 	bm, err := bench.ByName(name)
 	if err != nil {
@@ -83,9 +83,9 @@ func (c *countdownCtx) Err() error {
 // TestBuildPlanCancelParallel aborts a multi-restart BuildPlan at each of
 // its context checks in turn and checks the cancellation propagates as
 // context.Canceled with every worker goroutine torn down. Workers=4 races
-// the restart chains and the reuse/no-reuse candidates on goroutines;
-// Workers=1 runs both in order on the calling goroutine. Run under -race
-// this also exercises the concurrent teardown paths.
+// the restart chains on goroutines; Workers=1 runs them in order on the
+// calling goroutine. Stage transitions run on the calling goroutine either
+// way. Run under -race this also exercises the concurrent teardown paths.
 func TestBuildPlanCancelParallel(t *testing.T) {
 	a := arch.Reference()
 	staged := stagedBench(t, "qft_n18")

@@ -2,6 +2,7 @@ package place
 
 import (
 	"fmt"
+	"slices"
 
 	"zac/internal/arch"
 	"zac/internal/circuit"
@@ -26,10 +27,7 @@ func reuseMatch(prev, next []circuit.Gate) []int {
 		}
 	}
 	matchL, _ := matching.HopcroftKarp(adj, len(next))
-	out := make([]int, len(next))
-	for j := range out {
-		out[j] = -1
-	}
+	out := slices.Repeat([]int{-1}, len(next))
 	for i, j := range matchL {
 		if j >= 0 {
 			out[j] = i
@@ -53,9 +51,8 @@ func sharesQubit(g, h circuit.Gate) bool {
 // solver: the JV solver with its scratch, dense site/trap column indexes
 // (reset through touched lists), the qubit-sized flag arrays that replaced
 // the per-solve reserved/stay/banned maps, and the CSR arc arrays fed to
-// the sparse JV solves. BuildPlan keeps two so the reuse and no-reuse
-// candidate transitions can be solved concurrently; a scratch must not be
-// shared between concurrent solves.
+// the sparse JV solves. BuildPlan solves every candidate on one scratch; a
+// scratch must not be shared between concurrent solves.
 type transitionScratch struct {
 	solver matching.Solver
 
@@ -106,42 +103,22 @@ type transitionScratch struct {
 
 // newTransitionScratch sizes a scratch for one architecture and qubit count.
 func newTransitionScratch(a *arch.Architecture, numQubits int) *transitionScratch {
-	sc := &transitionScratch{
+	return &transitionScratch{
 		reserved:  make([]bool, a.SiteCount()),
 		stay:      make([]bool, numQubits),
 		banned:    make([]bool, numQubits),
 		related:   make([]int32, numQubits),
-		siteCol:   make([]int32, a.SiteCount()),
-		trapCol:   make([]int32, a.TrapCount()),
+		siteCol:   slices.Repeat([]int32{-1}, a.SiteCount()),
+		trapCol:   slices.Repeat([]int32{-1}, a.TrapCount()),
 		slotTaken: make([]bool, a.MaxSiteSlots()),
-		moveAt:    make([]int32, a.SiteCount()*a.MaxSiteSlots()),
+		moveAt:    slices.Repeat([]int32{-1}, a.SiteCount()*a.MaxSiteSlots()),
 	}
-	for i := range sc.siteCol {
-		sc.siteCol[i] = -1
-	}
-	for i := range sc.trapCol {
-		sc.trapCol[i] = -1
-	}
-	for i := range sc.moveAt {
-		sc.moveAt[i] = -1
-	}
-	return sc
 }
 
 // newOccupancy returns a dense storage-occupancy table (trap ordinal →
 // qubit, -1 = free) — the replacement for the old map[TrapRef]int.
 func newOccupancy(a *arch.Architecture) []int {
-	occ := make([]int, a.TrapCount())
-	for i := range occ {
-		occ[i] = -1
-	}
-	return occ
-}
-
-// candidateSites returns the Ω_cand site set for a gate as a fresh slice;
-// appendCandidateSites is the allocation-free variant the solver uses.
-func candidateSites(a *arch.Architecture, pts []geom.Point, delta int, excluded []bool) []arch.SiteRef {
-	return appendCandidateSites(a, nil, pts, delta, excluded)
+	return slices.Repeat([]int{-1}, a.TrapCount())
 }
 
 // appendCandidateSites appends the Ω_cand site set for a gate (paper §V-B2)
@@ -176,20 +153,6 @@ func appendCandidateSites(a *arch.Architecture, dst []arch.SiteRef, pts []geom.P
 	return dst
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // gatePlacement assigns Rydberg sites to the non-reused gates of a stage by
 // minimum-weight full matching (paper §V-B2, Jonker–Volgenant). pos gives
 // current qubit positions; sc.reserved marks sites excluded for every gate
@@ -213,12 +176,7 @@ func gatePlacement(
 	}
 	maxDelta := delta
 	for _, z := range a.Entanglement {
-		if z.SiteRows() > maxDelta {
-			maxDelta = z.SiteRows()
-		}
-		if z.SiteCols() > maxDelta {
-			maxDelta = z.SiteCols()
-		}
+		maxDelta = max(maxDelta, z.SiteRows(), z.SiteCols())
 	}
 	for d := delta; d <= maxDelta; d *= 2 {
 		if d > delta {
@@ -294,21 +252,7 @@ func tryGatePlacement(
 		for _, s := range sc.cands[sc.candRow[k]:sc.candRow[k+1]] {
 			// A site held by a foreign zone-resident qubit is unavailable;
 			// held by this gate's own qubits is fine (the qubit stays put).
-			foreign := false
-			for _, hq := range held[s] {
-				in := false
-				for _, gq := range g.Qubits {
-					if gq == hq {
-						in = true
-						break
-					}
-				}
-				if !in {
-					foreign = true
-					break
-				}
-			}
-			if foreign {
+			if slices.ContainsFunc(held[s], func(hq int) bool { return !slices.Contains(g.Qubits, hq) }) {
 				continue
 			}
 			sp := a.SitePos(s)
@@ -451,12 +395,6 @@ func tryReturnPlacement(
 		sc.assignTraps = append(sc.assignTraps, sc.traps[rowTo[i]])
 	}
 	return sc.assignTraps, total, nil
-}
-
-// candidateTraps returns S_cand^q for one qubit as a fresh slice;
-// appendCandidateTraps is the variant the solver uses.
-func candidateTraps(a *arch.Architecture, q int, pos []Pos, home []arch.TrapRef, related []int32, occ []int, k int) []arch.TrapRef {
-	return appendCandidateTraps(a, nil, q, pos, home, related, occ, k)
 }
 
 // appendCandidateTraps appends S_cand^q for one qubit to dst: empty traps

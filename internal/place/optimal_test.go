@@ -9,6 +9,16 @@ import (
 	"zac/internal/geom"
 )
 
+// candidateSites returns the Ω_cand site set for a gate as a fresh slice.
+func candidateSites(a *arch.Architecture, pts []geom.Point, delta int, excluded []bool) []arch.SiteRef {
+	return appendCandidateSites(a, nil, pts, delta, excluded)
+}
+
+// candidateTraps returns S_cand^q for one qubit as a fresh slice.
+func candidateTraps(a *arch.Architecture, q int, pos []Pos, home []arch.TrapRef, related []int32, occ []int, k int) []arch.TrapRef {
+	return appendCandidateTraps(a, nil, q, pos, home, related, occ, k)
+}
+
 // TestGatePlacementMatchesBruteForce validates the Jonker–Volgenant gate
 // placement against exhaustive search on tiny instances: for every
 // assignment of gates to candidate sites, the JV solution must achieve the

@@ -1,4 +1,4 @@
-package place
+package place_test
 
 import (
 	"context"
@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"zac/internal/arch"
-	"zac/internal/bench"
 	"zac/internal/circuit"
+	"zac/internal/place"
 	"zac/internal/resynth"
+	"zac/internal/workload"
 )
 
 // Micro-benchmarks over the placement hot path: run with
@@ -17,43 +18,47 @@ import (
 //
 // or via scripts/bench-regress.sh, which gates them A/B against a git ref.
 
-func stagedFor(b *testing.B, name string) *circuit.Staged {
-	b.Helper()
-	bm, err := bench.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	staged, err := resynth.Preprocess(bm.Build())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return staged
-}
-
 // BenchmarkSAInitial measures the §V-A simulated-annealing initial placement
 // (1000 iterations, the paper's budget) on the densest subset circuit.
 func BenchmarkSAInitial(b *testing.B) {
 	a := arch.Reference()
-	staged := stagedFor(b, "qft_n18")
+	staged := stagedBench(b, "qft_n18")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SAInitial(a, staged, 1000, rand.New(rand.NewSource(1))); err != nil {
+		if _, err := place.SAInitial(a, staged, 1000, rand.New(rand.NewSource(1))); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkBuildPlan measures the full placement pipeline under the paper's
-// SA+dynPlace+reuse preset for the two heaviest subset circuits.
+// SA+dynPlace+reuse preset for the two heaviest subset circuits and for
+// forge-scale's largest QAOA spec, split to site capacity as that workload
+// splits it: 11 transitions between stages of up to 96 gates, the size at
+// which the transition solves dominate a compile.
 func BenchmarkBuildPlan(b *testing.B) {
 	a := arch.Reference()
-	for _, name := range []string{"qft_n18", "ising_n42"} {
-		staged := stagedFor(b, name)
-		b.Run(name, func(b *testing.B) {
+	c, err := workload.Build("qaoa:n=192,p=2,seed=1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	forge, err := resynth.Preprocess(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name   string
+		staged *circuit.Staged
+	}{
+		{"qft_n18", stagedBench(b, "qft_n18")},
+		{"ising_n42", stagedBench(b, "ising_n42")},
+		{"forge_qaoa_n192", circuit.SplitRydbergStages(forge, a.TotalSites())},
+	} {
+		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildPlan(context.Background(), a, staged, Default()); err != nil {
+				if _, err := place.BuildPlan(context.Background(), a, in.staged, place.Default()); err != nil {
 					b.Fatal(err)
 				}
 			}

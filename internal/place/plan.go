@@ -3,6 +3,7 @@ package place
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -10,6 +11,7 @@ import (
 	"zac/internal/circuit"
 	"zac/internal/cover"
 	"zac/internal/engine"
+	"zac/internal/geom"
 	"zac/internal/telemetry"
 )
 
@@ -43,10 +45,10 @@ type Options struct {
 	// produced plan, so it participates in plan identity.
 	SARestarts int
 	// Workers bounds the goroutines one BuildPlan may use across restart
-	// chains and the per-stage reuse/no-reuse race (Workers=1 runs both
-	// candidates in order on the calling goroutine); non-positive selects
-	// all cores. Workers only changes how fast a plan is computed, never its
-	// bytes, so Canonical() strips it from plan identity.
+	// chains (Workers=1 runs them in order on the calling goroutine; stage
+	// transitions always run there); non-positive selects all cores.
+	// Workers only changes how fast a plan is computed, never its bytes, so
+	// Canonical() strips it from plan identity.
 	Workers int
 }
 
@@ -139,17 +141,34 @@ func (p *Plan) TotalReused() int {
 }
 
 // planner carries the evolving placement state. Storage occupancy is a
-// dense trap-ordinal table, and the two scratch sets let the reuse and
-// no-reuse transition candidates be solved concurrently.
+// dense trap-ordinal table, and one scratch set serves every solve.
 type planner struct {
-	a       *arch.Architecture
-	staged  *circuit.Staged
-	opts    Options
-	pos     []Pos          // current position per qubit
-	home    []arch.TrapRef // last storage trap per qubit
-	occ     []int          // trap ordinal → qubit, -1 = free
-	scratch [2]*transitionScratch
-	cov     *cover.Set // nil unless the context carries a collector
+	a    *arch.Architecture
+	opts Options
+	pos  []Pos          // current position per qubit
+	home []arch.TrapRef // last storage trap per qubit
+	occ  []int          // trap ordinal → qubit, -1 = free
+	sc   *transitionScratch
+	gap  float64    // least storage-trap↔site-slot distance (noReuseBound)
+	cov  *cover.Set // nil unless the context carries a collector
+}
+
+// newPlanner starts placement state with every qubit at its initial trap.
+func newPlanner(a *arch.Architecture, numQubits int, opts Options, initial []arch.TrapRef, cov *cover.Set) *planner {
+	pl := &planner{
+		a: a, opts: opts,
+		pos:  make([]Pos, numQubits),
+		home: append([]arch.TrapRef(nil), initial...),
+		occ:  newOccupancy(a),
+		sc:   newTransitionScratch(a, numQubits),
+		gap:  storageSlotGap(a),
+		cov:  cov,
+	}
+	for q, t := range initial {
+		pl.pos[q] = StoragePos(t)
+		pl.occ[a.TrapOrdinal(t)] = q
+	}
+	return pl
 }
 
 // BuildPlan runs the full placement pipeline (§V). The context is checked
@@ -188,20 +207,7 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 		return nil, err
 	}
 
-	pl := &planner{
-		a: a, staged: staged, opts: opts,
-		pos:  make([]Pos, staged.NumQubits),
-		home: append([]arch.TrapRef(nil), initial...),
-		occ:  newOccupancy(a),
-		cov:  cov,
-	}
-	pl.scratch[0] = newTransitionScratch(a, staged.NumQubits)
-	pl.scratch[1] = newTransitionScratch(a, staged.NumQubits)
-	for q, t := range initial {
-		pl.pos[q] = StoragePos(t)
-		pl.occ[a.TrapOrdinal(t)] = q
-	}
-
+	pl := newPlanner(a, staged.NumQubits, opts, initial, cov)
 	plan := &Plan{Arch: a, Staged: staged, NumQubits: staged.NumQubits, Initial: initial}
 	ryd := staged.RydbergStages()
 	for t, si := range ryd {
@@ -218,38 +224,29 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 			prev = &plan.Steps[len(plan.Steps)-1]
 		}
 
-		var sol transitionSolution
-		if opts.Reuse && prev != nil {
+		reuse := opts.Reuse && prev != nil
+		if reuse {
 			cov.Hit("place:transition:candidates")
-			// Solve the reuse and no-reuse candidates, concurrently when
-			// Workers allows — they only read planner state and each owns
-			// one scratch set — then pick exactly as the sequential code
-			// did: the reuse solve's error is authoritative, and the
-			// cheaper candidate wins.
-			var sols [2]transitionSolution
-			var errs [2]error
-			if err := engine.ForEach(ctx, opts.Workers, 2, func(i int) error {
-				sols[i], errs[i] = pl.solveTransition(prev, cur, next, i == 0, pl.scratch[i])
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			if errs[0] != nil {
-				return nil, errs[0]
-			}
-			sol = sols[0]
-			if errs[1] == nil && sols[1].cost < sol.cost {
-				sol = sols[1]
-				cov.Hit("place:transition:noreuse-wins")
-			} else {
-				cov.Hit("place:transition:reuse-wins")
-			}
 		} else {
 			cov.Hit("place:transition:plain")
-			sol, err = pl.solveTransition(prev, cur, next, false, pl.scratch[0])
-			if err != nil {
-				return nil, err
+		}
+		sol, err := pl.solveTransition(prev, cur, next, reuse)
+		if err != nil {
+			return nil, err
+		}
+		// The reuse solve's error is authoritative, and the no-reuse
+		// candidate wins only if strictly cheaper, so it is solved only when
+		// its movement lower bound leaves it that chance. A NaN bound
+		// (degenerate geometry) never prunes.
+		if reuse {
+			outcome := "place:transition:reuse-wins"
+			if !(pl.noReuseBound(prev, cur) >= sol.cost) {
+				cov.Hit("place:transition:noreuse-solved")
+				if alt, err := pl.solveTransition(prev, cur, next, false); err == nil && alt.cost < sol.cost {
+					sol, outcome = alt, "place:transition:noreuse-wins"
+				}
 			}
+			cov.Hit(outcome)
 		}
 		pl.commit(prev, sol)
 		plan.Steps = append(plan.Steps, Step{
@@ -266,7 +263,7 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 	if len(plan.Steps) > 0 {
 		cov.Hit("place:final-returns")
 		last := &plan.Steps[len(plan.Steps)-1]
-		sol, err := pl.solveReturns(last, nil, nil, pl.scratch[0])
+		sol, err := pl.solveReturns(last, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -327,12 +324,11 @@ type transitionSolution struct {
 // Under advanced reuse it retries with offending qubits banned from staying
 // until the in-zone movement graph is acyclic (cyclic trap swaps cannot be
 // realized by sequential rearrangement jobs).
-func (pl *planner) solveTransition(prev *Step, cur, next []circuit.Gate, useReuse bool, sc *transitionScratch) (transitionSolution, error) {
-	for q := range sc.banned {
-		sc.banned[q] = false
-	}
+func (pl *planner) solveTransition(prev *Step, cur, next []circuit.Gate, useReuse bool) (transitionSolution, error) {
+	sc := pl.sc
+	clear(sc.banned)
 	for attempt := 0; ; attempt++ {
-		sol, err := pl.solveTransitionOnce(prev, cur, next, useReuse, sc)
+		sol, err := pl.solveTransitionOnce(prev, cur, next, useReuse)
 		if err != nil {
 			return sol, err
 		}
@@ -371,9 +367,7 @@ func (sc *transitionScratch) findMoveCycle(a *arch.Architecture, moves []Move) (
 		sc.mstate = make([]int8, len(moves))
 	}
 	sc.mstate = sc.mstate[:len(moves)]
-	for i := range sc.mstate {
-		sc.mstate[i] = 0
-	}
+	clear(sc.mstate)
 	succ := func(i int) int {
 		to := moves[i].To
 		if to.InStorage {
@@ -412,8 +406,8 @@ func (sc *transitionScratch) findMoveCycle(a *arch.Architecture, moves []Move) (
 
 // solveTransitionOnce performs one placement attempt with the scratch's
 // banned set excluding qubits from advanced staying.
-func (pl *planner) solveTransitionOnce(prev *Step, cur, next []circuit.Gate, useReuse bool, sc *transitionScratch) (transitionSolution, error) {
-	a := pl.a
+func (pl *planner) solveTransitionOnce(prev *Step, cur, next []circuit.Gate, useReuse bool) (transitionSolution, error) {
+	a, sc := pl.a, pl.sc
 	sol := transitionSolution{
 		sites:  make([]arch.SiteRef, len(cur)),
 		slots:  make([][]int, len(cur)),
@@ -429,12 +423,8 @@ func (pl *planner) solveTransitionOnce(prev *Step, cur, next []circuit.Gate, use
 	if useReuse && prev != nil {
 		reuseOf = reuseMatch(prev.Gates, cur)
 	}
-	for i := range sc.reserved {
-		sc.reserved[i] = false
-	}
-	for q := range sc.stay {
-		sc.stay[q] = false
-	}
+	clear(sc.reserved)
+	clear(sc.stay)
 	stay := sc.stay // qubits that keep their site
 	for j, pi := range reuseOf {
 		if pi < 0 {
@@ -482,7 +472,7 @@ func (pl *planner) solveTransitionOnce(prev *Step, cur, next []circuit.Gate, use
 	// before the moves into the current stage, so gate placement and
 	// moves-in below must see post-return positions.
 	if prev != nil {
-		returns, err := pl.solveReturns(prev, stay, cur, sc)
+		returns, err := pl.solveReturns(prev, stay, cur)
 		if err != nil {
 			return sol, err
 		}
@@ -556,14 +546,86 @@ func (pl *planner) solveTransitionOnce(prev *Step, cur, next []circuit.Gate, use
 	return sol, nil
 }
 
+// noReuseBound is a lower bound on the no-reuse candidate's cost for the
+// transition prev → cur. Without reuse nothing stays, so every zone qubit
+// of prev returns to some storage trap, and then every qubit of cur moves
+// from storage to a site slot: a qubit in storage now at least as far as its
+// nearest slot, a qubit in the zone now (it returns first) at least pl.gap.
+// solveTransitionOnce sums the same per-move √distance terms in another
+// order, so the bound gives up a small relative margin to rounding.
+func (pl *planner) noReuseBound(prev *Step, cur []circuit.Gate) float64 {
+	a := pl.a
+	bound := 0.0
+	for _, g := range prev.Gates {
+		for _, q := range g.Qubits {
+			if p := pl.pos[q]; !p.InStorage {
+				pt := p.Point(a)
+				bound += moveCost(a, pt, a.TrapPos(a.NearestStorageTrap(pt)))
+			}
+		}
+	}
+	for _, g := range cur {
+		for _, q := range g.Qubits {
+			if p := pl.pos[q]; p.InStorage {
+				bound += math.Sqrt(nearestSlotDist(a, p.Point(a)))
+			} else {
+				bound += math.Sqrt(pl.gap)
+			}
+		}
+	}
+	return bound * (1 - 1e-9)
+}
+
+// nearestSlotDist is the distance from p to the nearest trap of any Rydberg
+// site slot: slot k of site (r, c) is trap (r, c) of the zone's k-th SLM.
+func nearestSlotDist(a *arch.Architecture, p geom.Point) float64 {
+	d := math.Inf(1)
+	for _, z := range a.Entanglement {
+		for _, s := range z.SLMs {
+			s.Rows, s.Cols = z.SiteRows(), z.SiteCols()
+			r, c := s.NearestTrap(p)
+			d = min(d, s.TrapPos(r, c).Dist(p))
+		}
+	}
+	return d
+}
+
+// storageSlotGap is the least distance between any storage trap and any
+// Rydberg site slot trap. Both are lattices, so the least squared distance
+// is the least x gap squared plus the least y gap squared.
+func storageSlotGap(a *arch.Architecture) float64 {
+	gap := math.Inf(1)
+	for _, sz := range a.Storage {
+		for _, s := range sz.SLMs {
+			for _, z := range a.Entanglement {
+				for _, e := range z.SLMs {
+					dx := axisGap(s.Offset.X, s.SepX, s.Cols, e.Offset.X, e.SepX, z.SiteCols())
+					dy := axisGap(s.Offset.Y, s.SepY, s.Rows, e.Offset.Y, e.SepY, z.SiteRows())
+					gap = min(gap, math.Sqrt(dx*dx+dy*dy))
+				}
+			}
+		}
+	}
+	return gap
+}
+
+// axisGap is the least |(o1 + i·d1) − (o2 + j·d2)| over i < n1, j < n2.
+func axisGap(o1, d1 float64, n1 int, o2, d2 float64, n2 int) float64 {
+	g := math.Inf(1)
+	for i := 0; i < n1; i++ {
+		x := o1 + float64(i)*d1
+		j := max(0, min(float64(n2-1), math.Round((x-o2)/d2)))
+		g = min(g, math.Abs(x-(o2+j*d2)))
+	}
+	return g
+}
+
 // assignSlots maps a gate's qubits to site slots: qubits already at the
 // site keep their slot; the rest take the free slots in ascending order,
 // matched to qubits in ascending current-x order.
 func assignSlots(a *arch.Architecture, qubits []int, pos []Pos, site arch.SiteRef, sc *transitionScratch) []int {
 	slots := make([]int, len(qubits))
-	for i := range sc.slotTaken {
-		sc.slotTaken[i] = false
-	}
+	clear(sc.slotTaken)
 	sc.pending = sc.pending[:0] // indices into qubits
 	for k, q := range qubits {
 		if !pos[q].InStorage && pos[q].Site == site {
@@ -592,8 +654,8 @@ func assignSlots(a *arch.Architecture, qubits []int, pos []Pos, site arch.SiteRe
 // solveReturns computes the storage returns for every qubit of prev that is
 // not in the stay set, using dynamic matching (§V-B3) or the static home
 // trap, with cur (the upcoming stage) defining related qubits.
-func (pl *planner) solveReturns(prev *Step, stay []bool, cur []circuit.Gate, sc *transitionScratch) ([]Move, error) {
-	a := pl.a
+func (pl *planner) solveReturns(prev *Step, stay []bool, cur []circuit.Gate) ([]Move, error) {
+	a, sc := pl.a, pl.sc
 	sc.leaving = sc.leaving[:0]
 	for _, g := range prev.Gates {
 		for _, q := range g.Qubits {

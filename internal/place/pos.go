@@ -7,6 +7,7 @@ package place
 
 import (
 	"math"
+	"slices"
 
 	"zac/internal/arch"
 	"zac/internal/geom"
@@ -77,17 +78,9 @@ func gateCost(a *arch.Architecture, site geom.Point, qubits ...geom.Point) float
 	maxes := make([]float64, 0, 8)
 	for _, p := range qubits {
 		c := moveCost(a, p, site)
-		found := false
-		for i, y := range ys {
-			if y == p.Y {
-				if c > maxes[i] {
-					maxes[i] = c
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
+		if i := slices.Index(ys, p.Y); i >= 0 {
+			maxes[i] = max(maxes[i], c)
+		} else {
 			ys = append(ys, p.Y)
 			maxes = append(maxes, c)
 		}
@@ -105,10 +98,7 @@ func gateCost2(a *arch.Architecture, site, p1, p2 geom.Point) float64 {
 	c1 := moveCost(a, p1, site)
 	c2 := moveCost(a, p2, site)
 	if p1.Y == p2.Y {
-		if c2 > c1 {
-			return c2
-		}
-		return c1
+		return max(c1, c2)
 	}
 	return c1 + c2
 }
