@@ -2,7 +2,7 @@
 // routed through the compiler registry and the pass pipeline must stay
 // byte-identical to the plans and programs pinned in
 // testdata/determinism.golden, and every registry compiler's output on the
-// golden subset is pinned in testdata/registry.golden. It lives in an
+// 17 paper circuits is pinned in testdata/registry.golden. It lives in an
 // external test package because internal/compiler imports core.
 package core_test
 
@@ -77,27 +77,24 @@ func registryDigest(t *testing.T, r *core.Result) string {
 	return fmt.Sprintf("%s fid=%.17g dur=%.17g", hex.EncodeToString(sum[:]), r.Breakdown.Total, r.Duration)
 }
 
-// TestRegistryMatchesGolden compiles the golden subset through every
+// TestRegistryMatchesGolden compiles the 17 paper circuits through every
 // registry compiler, shaped as `zac -out` and zac-serve shape it (the
 // compiler's target architecture, staging split to its StageSplitCap), and
 // the forge-scale specs through zac at Workers 1 and 2, split to site
-// capacity as `zac-bench -workload` and perfbench split them. The
-// zac compiler's plans and programs must match the hashes
+// capacity as `zac-bench -workload` and perfbench split them. On the golden
+// subset the zac compiler's plans and programs must match the hashes
 // TestGoldenDeterminism pins for core.CompileStaged, so the registry seam
 // cannot drift from the direct entry point; every compiler's program,
 // fidelity and duration must match testdata/registry.golden. Run with
 // -update to rewrite the latter; the keys whose values changed are logged.
 func TestRegistryMatchesGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden corpus compiles the five-circuit subset; skipped in -short")
+		t.Skip("golden corpus compiles the paper suite; skipped in -short")
 	}
 	determinism := readGolden(t, "testdata/determinism.golden")
 	got := map[string]string{}
-	for _, name := range []string{"bv_n14", "ghz_n23", "ising_n42", "qft_n18", "wstate_n27"} {
-		bm, err := bench.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, bm := range bench.All() {
+		name := bm.Name
 		staged, err := resynth.Preprocess(bm.Build())
 		if err != nil {
 			t.Fatal(err)
@@ -113,15 +110,16 @@ func TestRegistryMatchesGolden(t *testing.T) {
 				t.Fatalf("%s/%s: %v", cname, name, err)
 			}
 			got[cname+"/"+name] = registryDigest(t, res)
-			if cname != "zac" {
+			wantPlan, golden := determinism["plan/"+name+"/"+core.SettingSADynPlaceReuse]
+			if cname != "zac" || !golden {
 				continue
 			}
 			planHash := sha(t, struct {
 				Initial []arch.TrapRef
 				Steps   []place.Step
 			}{res.Plan.Initial, res.Plan.Steps})
-			if g := determinism["plan/"+name+"/"+core.SettingSADynPlaceReuse]; g != planHash {
-				t.Errorf("%s: plan hash through registry differs from golden\n  golden:  %s\n  current: %s", name, g, planHash)
+			if wantPlan != planHash {
+				t.Errorf("%s: plan hash through registry differs from golden\n  golden:  %s\n  current: %s", name, wantPlan, planHash)
 			}
 			if g, progHash := determinism["zair/"+name+"/"+core.SettingSADynPlaceReuse], sha(t, res.Program); g != progHash {
 				t.Errorf("%s: ZAIR hash through registry differs from golden\n  golden:  %s\n  current: %s", name, g, progHash)
