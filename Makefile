@@ -26,11 +26,11 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSuite(Sequential|Parallel)' -benchtime 2x .
 
-# Placement and scheduling kernel benchmarks with allocation counts: JV
-# matching, the move-grouping partition, SA initial placement, BuildPlan,
-# and BuildPlan plus schedule. The same list bench-regress gates on.
+# Compile-path kernel benchmarks with allocation counts: JV matching, the
+# move-grouping partition, SA initial placement, BuildPlan, BuildPlan plus
+# schedule, and preprocessing. The same list bench-regress gates on.
 bench-micro:
-	$(GO) test -run xxx -bench 'BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched' -benchmem ./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule
+	$(GO) test -run xxx -bench 'BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched|BenchmarkPreprocess' -benchmem ./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule ./internal/resynth
 
 # Kernel regression gate: the bench-micro list run alternately on a ref
 # (default HEAD) and the working tree on this machine, ingested into the

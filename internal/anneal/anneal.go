@@ -18,17 +18,18 @@ type Problem interface {
 	Propose(r *rand.Rand) (undo func())
 }
 
-// DeltaProblem is an optional extension of Problem for states that can
-// evaluate a proposal incrementally. ProposeDelta behaves like Propose but
-// additionally returns the resulting total cost, letting the state
-// re-evaluate only the objective terms its move touched instead of the full
-// objective. Implementations must consume the RNG exactly as Propose would
-// and must return a value bit-identical to what a full Cost() recomputation
-// would produce, so annealing trajectories (and therefore seeded outputs)
-// are independent of which interface the engine dispatches through.
-type DeltaProblem interface {
-	Problem
-	ProposeDelta(r *rand.Rand) (next float64, undo func())
+// DeltaProblem is a state that evaluates a proposal incrementally and
+// undoes it from a plain record instead of a closure. ProposeDelta mutates
+// the state into a random neighbour and returns the resulting total cost,
+// re-evaluating only the objective terms its move touched, plus a record
+// of the move; Undo reverts one. The engine undoes records in reverse
+// order of proposal, so Undo may read the state the move left. The cost
+// must be bit-identical to a full Cost() recomputation, so a delta state
+// anneals exactly as its Problem form with the same RNG would.
+type DeltaProblem[M any] interface {
+	Cost() float64
+	ProposeDelta(r *rand.Rand) (next float64, move M)
+	Undo(move M)
 }
 
 // Options tunes the annealing schedule.
@@ -57,6 +58,22 @@ type Result struct {
 // Run anneals p in place and leaves it in the best state visited. The caller
 // supplies the RNG for determinism.
 func Run(p Problem, opts Options, r *rand.Rand) Result {
+	return RunDelta[func()](closures{p}, opts, r)
+}
+
+// closures runs a Problem through the delta engine: its move record is the
+// undo closure Propose returns.
+type closures struct{ Problem }
+
+func (c closures) ProposeDelta(r *rand.Rand) (float64, func()) {
+	undo := c.Propose(r)
+	return c.Cost(), undo
+}
+
+func (closures) Undo(undo func()) { undo() }
+
+// RunDelta is Run for a DeltaProblem.
+func RunDelta[M any](p DeltaProblem[M], opts Options, r *rand.Rand) Result {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 1000
 	}
@@ -70,27 +87,17 @@ func Run(p Problem, opts Options, r *rand.Rand) Result {
 		temp = math.Max(math.Abs(cur)*0.1, 1e-6)
 	}
 
-	// Track the proposal trail since the last best state so we can rewind:
-	// storing full snapshots is the caller's concern; we instead re-anneal by
-	// keeping undo stack from the best point.
-	var sinceBest []func()
+	// Keep the accepted moves since the best state visited, so the end of
+	// the run can rewind to it without snapshotting states.
+	var sinceBest []M
 	stale := 0
-	dp, incremental := p.(DeltaProblem)
-
 	for it := 0; it < opts.Iterations; it++ {
-		var next float64
-		var undo func()
-		if incremental {
-			next, undo = dp.ProposeDelta(r)
-		} else {
-			undo = p.Propose(r)
-			next = p.Cost()
-		}
+		next, move := p.ProposeDelta(r)
 		delta := next - cur
 		if delta <= 0 || r.Float64() < math.Exp(-delta/temp) {
 			cur = next
 			res.Accepted++
-			sinceBest = append(sinceBest, undo)
+			sinceBest = append(sinceBest, move)
 			if cur < res.BestCost-1e-12 {
 				res.BestCost = cur
 				sinceBest = sinceBest[:0]
@@ -99,7 +106,7 @@ func Run(p Problem, opts Options, r *rand.Rand) Result {
 				stale++
 			}
 		} else {
-			undo()
+			p.Undo(move)
 			stale++
 		}
 		temp *= opts.Cooling
@@ -110,7 +117,7 @@ func Run(p Problem, opts Options, r *rand.Rand) Result {
 	}
 	// Rewind to the best state visited.
 	for i := len(sinceBest) - 1; i >= 0; i-- {
-		sinceBest[i]()
+		p.Undo(sinceBest[i])
 	}
 	return res
 }

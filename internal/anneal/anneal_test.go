@@ -127,7 +127,8 @@ func TestRunPermutation(t *testing.T) {
 // keeps a per-coordinate contribution cache and refreshes only the touched
 // coordinate, mirroring how place's SA state implements
 // anneal.DeltaProblem: the total is re-summed over the cache in coordinate
-// order so it stays bit-identical to a full Cost() recomputation.
+// order so it stays bit-identical to a full Cost() recomputation, and the
+// move record is the coordinate and its old value.
 type deltaQuadratic struct {
 	quadratic
 	terms []float64 // cached (x_i - target_i)^2 per coordinate
@@ -153,20 +154,27 @@ func (q *deltaQuadratic) sum() float64 {
 	return s
 }
 
-func (q *deltaQuadratic) ProposeDelta(r *rand.Rand) (float64, func()) {
+type nudge struct {
+	i   int
+	old float64
+}
+
+func (q *deltaQuadratic) ProposeDelta(r *rand.Rand) (float64, nudge) {
 	i := r.Intn(len(q.x))
 	old := q.x[i]
 	q.x[i] += (r.Float64() - 0.5) * 2
 	q.refresh(i)
-	return q.sum(), func() {
-		q.x[i] = old
-		q.refresh(i)
-	}
+	return q.sum(), nudge{i, old}
+}
+
+func (q *deltaQuadratic) Undo(m nudge) {
+	q.x[m.i] = m.old
+	q.refresh(m.i)
 }
 
 // TestDeltaProblemMatchesFullRecompute runs the same seeded problem through
-// the Propose+Cost path and the ProposeDelta path; trajectories, results,
-// and final states must match exactly.
+// Run's Propose+Cost path and RunDelta's ProposeDelta path; trajectories,
+// results, and final states must match exactly.
 func TestDeltaProblemMatchesFullRecompute(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		plain := &quadratic{x: []float64{10, -7, 3, 2}, target: []float64{0, 1, 0, -2}}
@@ -176,7 +184,7 @@ func TestDeltaProblemMatchesFullRecompute(t *testing.T) {
 		}}
 		incr.terms = make([]float64, len(incr.x))
 		resPlain := Run(plain, Options{Iterations: 2000}, rand.New(rand.NewSource(seed)))
-		resIncr := Run(incr, Options{Iterations: 2000}, rand.New(rand.NewSource(seed)))
+		resIncr := RunDelta(incr, Options{Iterations: 2000}, rand.New(rand.NewSource(seed)))
 		if resPlain != resIncr {
 			t.Fatalf("seed %d: results diverge: %+v vs %+v", seed, resPlain, resIncr)
 		}

@@ -167,8 +167,9 @@ type OperationFidelities struct {
 // Do not mutate an architecture after its first use. The first compile, or
 // the first call of an ordinal or topology method (TrapOrdinal, SiteAt,
 // StorageTrapsNearestFirst, ...), memoizes the dense topology tables on the
-// value, and caches key compiled results by its Fingerprint; neither sees a
-// later change. Build a new value instead. The zero value and struct
+// value, the first Fingerprint memoizes the fingerprint, and caches key
+// compiled results by it; none of them sees a later change. Build a new
+// value instead. The zero value and struct
 // literals are ready to use, and copies made before first use (as WithAODs
 // makes) are independent.
 type Architecture struct {
@@ -185,6 +186,9 @@ type Architecture struct {
 
 	// topology holds the *topology memo (topo.go); empty until first use.
 	topology atomic.Value
+	// digest holds the *fingerprintMemo (fingerprint.go); empty until the
+	// first Fingerprint.
+	digest atomic.Value
 }
 
 // MoveTime returns the movement duration for distance d µm under the

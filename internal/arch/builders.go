@@ -104,6 +104,7 @@ func ReferenceTriple() *Architecture {
 func WithAODs(a *Architecture, n int) *Architecture {
 	out := *a
 	out.topology = atomic.Value{} // the copy builds, or shares, its own
+	out.digest = atomic.Value{}   // and computes its own fingerprint
 	out.AODs = make([]AODArray, n)
 	for i := 0; i < n; i++ {
 		out.AODs[i] = AODArray{ID: i, MinSep: 2, MaxRows: 100, MaxCols: 100}

@@ -29,16 +29,35 @@ func TestFingerprintDistinguishesArchitectures(t *testing.T) {
 	}
 }
 
+// TestFingerprintSeesUnserializedFields changes each unserialized field on
+// a fresh value: an architecture is not mutated after its first use.
 func TestFingerprintSeesUnserializedFields(t *testing.T) {
+	base := Reference().Fingerprint()
 	a := Reference()
-	base := a.Fingerprint()
 	a.MovementAccel = 1234
 	if a.Fingerprint() == base {
 		t.Error("MovementAccel change must alter the fingerprint")
 	}
-	a.MovementAccel = 0
+	a = Reference()
 	a.ZoneSep *= 2
 	if a.Fingerprint() == base {
 		t.Error("ZoneSep change must alter the fingerprint")
+	}
+}
+
+// TestFingerprintMemoized requires a second Fingerprint call to allocate
+// nothing, and WithAODs' copy of a fingerprinted architecture to compute
+// its own.
+func TestFingerprintMemoized(t *testing.T) {
+	a := Reference()
+	fp := a.Fingerprint()
+	if allocs := testing.AllocsPerRun(100, func() { a.Fingerprint() }); allocs != 0 {
+		t.Errorf("memoized Fingerprint allocates %v times per call", allocs)
+	}
+	if a.Fingerprint() != fp {
+		t.Error("memoized fingerprint changed")
+	}
+	if w := WithAODs(a, 2); w.Fingerprint() == fp || w.Fingerprint() != WithAODs(Reference(), 2).Fingerprint() {
+		t.Error("WithAODs copy kept the original's fingerprint")
 	}
 }

@@ -171,19 +171,21 @@ type movement struct {
 }
 
 // groupRounds partitions movements into AOD-compatible rounds (order
-// preservation in both axes) using repeated MIS, as Enola does.
+// preservation in both axes) using repeated MIS over the conflict bit
+// matrix, as Enola does.
 func groupRounds(moves []movement) [][]int {
 	n := len(moves)
-	adj := make([][]int, n)
+	words := (n + 63) / 64
+	conflict := make([]uint64, n*words)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if !movesCompatible(moves[i].from, moves[i].to, moves[j].from, moves[j].to) {
-				adj[i] = append(adj[i], j)
-				adj[j] = append(adj[j], i)
+				conflict[i*words+j/64] |= 1 << (j % 64)
+				conflict[j*words+i/64] |= 1 << (i % 64)
 			}
 		}
 	}
-	return graphalgo.PartitionIntoIndependentSets(n, adj)
+	return graphalgo.PartitionIntoIndependentSets(n, conflict)
 }
 
 func movesCompatible(a0, a1, b0, b1 geom.Point) bool {

@@ -163,6 +163,7 @@ func (c *Circuit) Validate() error {
 	if c.NumQubits <= 0 {
 		return fmt.Errorf("circuit %q: non-positive qubit count %d", c.Name, c.NumQubits)
 	}
+	seen := make([]int, c.NumQubits) // qubit → 1 + last gate using it
 	for i, g := range c.Gates {
 		if len(g.Qubits) != g.Kind.NumQubits() {
 			return fmt.Errorf("circuit %q gate %d (%s): wrong arity %d", c.Name, i, g.Kind, len(g.Qubits))
@@ -170,15 +171,14 @@ func (c *Circuit) Validate() error {
 		if len(g.Params) != g.Kind.NumParams() {
 			return fmt.Errorf("circuit %q gate %d (%s): wrong param count %d", c.Name, i, g.Kind, len(g.Params))
 		}
-		seen := map[int]bool{}
 		for _, q := range g.Qubits {
 			if q < 0 || q >= c.NumQubits {
 				return fmt.Errorf("circuit %q gate %d (%s): qubit %d out of range [0,%d)", c.Name, i, g.Kind, q, c.NumQubits)
 			}
-			if seen[q] {
+			if seen[q] == i+1 {
 				return fmt.Errorf("circuit %q gate %d (%s): duplicate qubit %d", c.Name, i, g.Kind, q)
 			}
-			seen[q] = true
+			seen[q] = i + 1
 		}
 	}
 	return nil

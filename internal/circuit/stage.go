@@ -75,8 +75,8 @@ func (s *Staged) GateCounts() (oneQ, twoQ int) {
 // Validate checks the stage structure: kinds match contents, qubits are
 // disjoint within each stage, and indices are in range.
 func (s *Staged) Validate() error {
+	seen := make([]int, max(s.NumQubits, 0)) // qubit → 1 + last stage using it
 	for i, st := range s.Stages {
-		seen := map[int]bool{}
 		for _, g := range st.Gates {
 			switch st.Kind {
 			case OneQStage:
@@ -94,10 +94,10 @@ func (s *Staged) Validate() error {
 				if q < 0 || q >= s.NumQubits {
 					return fmt.Errorf("staged %q stage %d: qubit %d out of range", s.Name, i, q)
 				}
-				if seen[q] {
+				if seen[q] == i+1 {
 					return fmt.Errorf("staged %q stage %d: qubit %d used twice in one stage", s.Name, i, q)
 				}
-				seen[q] = true
+				seen[q] = i + 1
 			}
 		}
 	}

@@ -199,6 +199,85 @@ func randomAdj(r *rand.Rand, n int, p float64) [][]int {
 	return adj
 }
 
+// bitMatrix renders a symmetric adjacency as the conflict bit matrix
+// PartitionIntoIndependentSets reads.
+func bitMatrix(n int, adj [][]int) []uint64 {
+	words := (n + 63) / 64
+	m := make([]uint64, n*words)
+	for v, row := range adj {
+		for _, w := range row {
+			m[v*words+w/64] |= 1 << (w % 64)
+		}
+	}
+	return m
+}
+
+// adjacencyPartition is the partition as it ran on adjacency lists before
+// it read the bit matrix: the same rounds, with each grouped vertex's
+// neighbours taken from adj. It is the oracle the bit-matrix partition
+// must match group for group.
+func adjacencyPartition(n int, adj [][]int) [][]int {
+	deg := make([]int, n) // degree induced by the live vertices
+	maxDeg := 0
+	for v := range deg {
+		deg[v] = len(adj[v])
+		maxDeg = max(maxDeg, deg[v])
+	}
+	live := make([]int, n) // ungrouped vertices, ascending
+	for v := range live {
+		live[v] = v
+	}
+	order := make([]int, n)
+	count := make([]int, maxDeg+1)
+	blocked := make([]int, n) // round that blocked v; 0 = none
+	grouped := make([]bool, n)
+	buf := make([]int, n) // every group is carved out of buf
+	var groups [][]int
+	for round := 1; len(live) > 0; round++ {
+		top := 0
+		for _, v := range live {
+			top = max(top, deg[v])
+		}
+		cnt := count[:top+1]
+		clear(cnt)
+		for _, v := range live {
+			cnt[deg[v]]++
+		}
+		sum := 0
+		for d, c := range cnt {
+			cnt[d] = sum
+			sum += c
+		}
+		for _, v := range live {
+			order[cnt[deg[v]]] = v
+			cnt[deg[v]]++
+		}
+		for _, v := range order[:len(live)] {
+			if blocked[v] == round {
+				continue
+			}
+			grouped[v] = true
+			for _, w := range adj[v] {
+				blocked[w] = round
+				deg[w]--
+			}
+		}
+		group := buf[:0]
+		rest := live[:0]
+		for _, v := range live {
+			if grouped[v] {
+				group = append(group, v)
+			} else {
+				rest = append(rest, v)
+			}
+		}
+		groups = append(groups, group[:len(group):len(group)])
+		buf = buf[len(group):]
+		live = rest
+	}
+	return groups
+}
+
 // TestMaximalIndependentSet checks the partition's first round: on the
 // whole graph it must be a maximal independent set, the reference greedy
 // one.
@@ -207,7 +286,7 @@ func TestMaximalIndependentSet(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + r.Intn(15)
 		adj := randomAdj(r, n, 0.3)
-		set := PartitionIntoIndependentSets(n, adj)[0]
+		set := PartitionIntoIndependentSets(n, bitMatrix(n, adj))[0]
 		if !IsMaximalIndependent(n, adj, set) {
 			t.Fatalf("iter %d: set %v not maximal independent, adj=%v", iter, set, adj)
 		}
@@ -219,7 +298,7 @@ func TestMaximalIndependentSet(t *testing.T) {
 
 func TestMISNoEdgesTakesAll(t *testing.T) {
 	adj := make([][]int, 6)
-	if groups := PartitionIntoIndependentSets(6, adj); len(groups) != 1 || len(groups[0]) != 6 {
+	if groups := PartitionIntoIndependentSets(6, bitMatrix(6, adj)); len(groups) != 1 || len(groups[0]) != 6 {
 		t.Fatalf("expected one group of all 6 vertices, got %v", groups)
 	}
 }
@@ -231,9 +310,12 @@ func TestMISNoEdgesTakesAll(t *testing.T) {
 func TestPartitionMatchesReference(t *testing.T) {
 	check := func(name string, n int, adj [][]int) {
 		t.Helper()
-		got, want := PartitionIntoIndependentSets(n, adj), referencePartition(n, adj)
+		got, want := PartitionIntoIndependentSets(n, bitMatrix(n, adj)), referencePartition(n, adj)
 		if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
 			t.Fatalf("%s (n=%d): groups %v, reference %v", name, n, got, want)
+		}
+		if oracle := adjacencyPartition(n, adj); !slices.EqualFunc(got, oracle, slices.Equal[[]int]) {
+			t.Fatalf("%s (n=%d): groups %v, adjacency-list partition %v", name, n, got, oracle)
 		}
 	}
 	r := rand.New(rand.NewSource(45))
@@ -254,6 +336,25 @@ func TestPartitionMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPartitionBitMatrixMatchesAdjacency is the property test of the bit
+// matrix: on random graphs around the 64-bit word boundary, from empty to
+// complete, the partition must return the adjacency-list partition's
+// groups.
+func TestPartitionBitMatrixMatchesAdjacency(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 200} {
+		for _, p := range []float64{0, 0.02, 0.1, 0.5, 0.8, 0.97, 1} {
+			for iter := 0; iter < 3; iter++ {
+				adj := randomAdj(r, n, p)
+				got := PartitionIntoIndependentSets(n, bitMatrix(n, adj))
+				if want := adjacencyPartition(n, adj); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+					t.Fatalf("n=%d p=%v iter %d: groups %v, adjacency-list partition %v", n, p, iter, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPartitionIntoIndependentSets(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	for iter := 0; iter < 100; iter++ {
@@ -267,7 +368,7 @@ func TestPartitionIntoIndependentSets(t *testing.T) {
 				}
 			}
 		}
-		groups := PartitionIntoIndependentSets(n, adj)
+		groups := PartitionIntoIndependentSets(n, bitMatrix(n, adj))
 		covered := make([]bool, n)
 		total := 0
 		for _, g := range groups {
@@ -298,7 +399,7 @@ func TestPartitionCliqueNeedsNGroups(t *testing.T) {
 			}
 		}
 	}
-	groups := PartitionIntoIndependentSets(n, adj)
+	groups := PartitionIntoIndependentSets(n, bitMatrix(n, adj))
 	if len(groups) != n {
 		t.Fatalf("clique should need %d groups, got %d", n, len(groups))
 	}
@@ -321,10 +422,10 @@ var partitionSink [][]int
 func BenchmarkPartitionIntoIndependentSets(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	n := 300
-	adj := randomAdj(r, n, 0.8)
+	conflict := bitMatrix(n, randomAdj(r, n, 0.8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		partitionSink = PartitionIntoIndependentSets(n, adj)
+		partitionSink = PartitionIntoIndependentSets(n, conflict)
 	}
 }

@@ -1,23 +1,33 @@
 package graphalgo
 
+import "math/bits"
+
 // PartitionIntoIndependentSets repeatedly extracts maximal independent sets
 // until every vertex is covered, returning the groups in extraction order,
 // each sorted ascending. This is how rearrangement jobs are formed from a
 // movement conflict graph (paper §VI, following Enola): each group is one
-// job of compatible moves. adj must be symmetric (an undirected graph).
+// job of compatible moves.
+//
+// conflict is the graph's adjacency as a bit matrix: n rows of
+// (n+63)/64 words, with bit j%64 of word j/64 in row i set when i and j are
+// adjacent. It must be symmetric (an undirected graph) with a clear
+// diagonal. It is only read.
 //
 // Each round is the standard greedy heuristic, low-degree vertices first,
 // over the graph induced by the vertices not yet grouped: they are visited
 // in ascending (induced degree, vertex) order, and one joins the group
 // unless a neighbour already has. A round costs O(live vertices + max
-// degree) plus the adjacency of the vertices it groups: induced degrees
-// are kept live (decremented as neighbours leave), a stable counting sort
-// orders the round, and a round stamp marks blocked vertices.
-func PartitionIntoIndependentSets(n int, adj [][]int) [][]int {
+// degree) plus the rows of the vertices it groups: induced degrees are kept
+// live (decremented as neighbours leave), a stable counting sort orders the
+// round, and a round stamp marks blocked vertices.
+func PartitionIntoIndependentSets(n int, conflict []uint64) [][]int {
+	words := (n + 63) / 64
 	deg := make([]int, n) // degree induced by the live vertices
 	maxDeg := 0
 	for v := range deg {
-		deg[v] = len(adj[v])
+		for _, word := range conflict[v*words : (v+1)*words] {
+			deg[v] += bits.OnesCount64(word)
+		}
 		maxDeg = max(maxDeg, deg[v])
 	}
 	live := make([]int, n) // ungrouped vertices, ascending
@@ -54,9 +64,12 @@ func PartitionIntoIndependentSets(n int, adj [][]int) [][]int {
 				continue
 			}
 			grouped[v] = true
-			for _, w := range adj[v] {
-				blocked[w] = round
-				deg[w]--
+			for w, word := range conflict[v*words : (v+1)*words] {
+				for ; word != 0; word &= word - 1 {
+					u := w*64 + bits.TrailingZeros64(word)
+					blocked[u] = round
+					deg[u]--
+				}
 			}
 		}
 		group := buf[:0]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,18 +54,31 @@ func settleGoroutines(t *testing.T, baseline int) {
 // clock: Err reports context.Canceled from its k-th call on, and Done
 // closes at that call. Sweeping k lands the abort on every check a run
 // makes, in order. Done calls are counted too: only code that waits on the
-// context from another goroutine asks for the channel.
+// context from another goroutine asks for the channel. Err calls made on
+// another goroutine than the one that created the context are counted as
+// worker checks.
 type countdownCtx struct {
 	context.Context
-	k         int64
-	calls     atomic.Int64
-	doneCalls atomic.Int64
-	once      sync.Once
-	done      chan struct{}
+	k            int64
+	owner        string
+	calls        atomic.Int64
+	workerChecks atomic.Int64
+	doneCalls    atomic.Int64
+	once         sync.Once
+	done         chan struct{}
 }
 
 func newCountdownCtx(k int64) *countdownCtx {
-	return &countdownCtx{Context: context.Background(), k: k, done: make(chan struct{})}
+	return &countdownCtx{Context: context.Background(), k: k, owner: goroutineID(), done: make(chan struct{})}
+}
+
+// goroutineID is the calling goroutine's number, read from the header line
+// of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
 }
 
 func (c *countdownCtx) Done() <-chan struct{} {
@@ -73,6 +87,9 @@ func (c *countdownCtx) Done() <-chan struct{} {
 }
 
 func (c *countdownCtx) Err() error {
+	if goroutineID() != c.owner {
+		c.workerChecks.Add(1)
+	}
 	if c.calls.Add(1) < c.k {
 		return nil
 	}
@@ -135,10 +152,11 @@ func TestBuildPlanCancelParallel(t *testing.T) {
 // TestScheduleCancelParallel aborts the schedule pass at each of its
 // context checks in turn. ising_n98 is the paper circuit whose movement
 // phases reach the conflict graph's parallel threshold, so at Workers=4
-// the row scan fans out to goroutines that wait on the context; at
-// Workers=1 every check runs on the calling goroutine and each one must
-// abort the run. Every abort reports context.Canceled and leaks no
-// worker, and a pre-cancelled context never starts.
+// the row scan fans out to goroutines that check the caller's context row
+// by row, and the sweep cancels them mid-scan; at Workers=1 every check
+// runs on the calling goroutine and each one must abort the run. Every
+// abort reports context.Canceled and leaks no worker, and a pre-cancelled
+// context never starts.
 func TestScheduleCancelParallel(t *testing.T) {
 	a := arch.Reference()
 	staged := stagedBench(t, "ising_n98")
@@ -163,13 +181,13 @@ func TestScheduleCancelParallel(t *testing.T) {
 			if _, err := schedule.BuildWithOptions(full, a, staged, plan, opts); err != nil {
 				t.Fatal(err)
 			}
-			checks, waits := full.calls.Load(), full.doneCalls.Load()
-			t.Logf("full run: %d context checks, %d waits from other goroutines", checks, waits)
-			if workers == 1 && waits != 0 {
-				t.Error("Workers=1 schedule waited on its context from another goroutine")
+			checks, waits, onWorkers := full.calls.Load(), full.doneCalls.Load(), full.workerChecks.Load()
+			t.Logf("full run: %d context checks (%d on workers), %d waits from other goroutines", checks, onWorkers, waits)
+			if workers == 1 && (waits != 0 || onWorkers != 0) {
+				t.Error("Workers=1 schedule used its context from another goroutine")
 			}
-			if workers > 1 && waits == 0 {
-				t.Fatal("Workers=4 schedule never reached the parallel conflict graph")
+			if workers > 1 && (waits == 0 || onWorkers == 0) {
+				t.Fatal("Workers=4 schedule never checked its context on a conflict-graph worker")
 			}
 
 			for k := int64(1); k <= checks; k++ {

@@ -70,13 +70,13 @@ type transitionScratch struct {
 	// union-column machinery shared by gate and return placement
 	sites   []arch.SiteRef
 	siteCol []int32 // by site ordinal → dense column, -1 = unseen
-	traps   []arch.TrapRef
+	traps   []int32 // trap ordinals
 	trapCol []int32 // by trap ordinal → dense column, -1 = unseen
 
 	// flattened per-row candidate lists (CSR layout)
 	cands    []arch.SiteRef
 	candRow  []int
-	tcands   []arch.TrapRef
+	tcands   []int32 // trap ordinals
 	tcandRow []int
 
 	// sparse matching arcs
@@ -115,10 +115,10 @@ func newTransitionScratch(a *arch.Architecture, numQubits int) *transitionScratc
 	}
 }
 
-// newOccupancy returns a dense storage-occupancy table (trap ordinal →
-// qubit, -1 = free) — the replacement for the old map[TrapRef]int.
-func newOccupancy(a *arch.Architecture) []int {
-	return slices.Repeat([]int{-1}, a.TrapCount())
+// newOccupancy returns an empty dense storage-occupancy table (trap
+// ordinal → qubit, -1 = free).
+func newOccupancy(a *arch.Architecture) []int32 {
+	return slices.Repeat([]int32{-1}, a.TrapCount())
 }
 
 // appendCandidateSites appends the Ω_cand site set for a gate (paper §V-B2)
@@ -289,7 +289,7 @@ func returnPlacement(
 	pos []Pos,
 	home []arch.TrapRef,
 	related []int32, // by qubit → partner in the next Rydberg stage, -1 = none
-	occ []int, // by trap ordinal → qubit, -1 = free
+	occ []int32, // by trap ordinal → qubit, -1 = free
 	k int,
 	alpha float64,
 	sc *transitionScratch,
@@ -322,7 +322,7 @@ func tryReturnPlacement(
 	pos []Pos,
 	home []arch.TrapRef,
 	related []int32,
-	occ []int,
+	occ []int32,
 	k int,
 	alpha float64,
 	allTraps bool,
@@ -332,8 +332,8 @@ func tryReturnPlacement(
 	sc.tcands = sc.tcands[:0]
 	sc.tcandRow = sc.tcandRow[:0]
 	defer func() {
-		for _, t := range sc.traps {
-			sc.trapCol[a.TrapOrdinal(t)] = -1
+		for _, ord := range sc.traps {
+			sc.trapCol[ord] = -1
 		}
 	}()
 	for _, q := range qubits {
@@ -341,16 +341,16 @@ func tryReturnPlacement(
 		if allTraps {
 			for ord, taken := range occ {
 				if taken < 0 {
-					sc.tcands = append(sc.tcands, a.TrapAt(ord))
+					sc.tcands = append(sc.tcands, int32(ord))
 				}
 			}
 		} else {
 			sc.tcands = appendCandidateTraps(a, sc.tcands, q, pos, home, related, occ, k)
 		}
-		for _, t := range sc.tcands[sc.tcandRow[len(sc.tcandRow)-1]:] {
-			if ord := a.TrapOrdinal(t); sc.trapCol[ord] < 0 {
+		for _, ord := range sc.tcands[sc.tcandRow[len(sc.tcandRow)-1]:] {
+			if sc.trapCol[ord] < 0 {
 				sc.trapCol[ord] = int32(len(sc.traps))
-				sc.traps = append(sc.traps, t)
+				sc.traps = append(sc.traps, ord)
 			}
 		}
 	}
@@ -373,9 +373,8 @@ func tryReturnPlacement(
 			partner = int(related[q])
 			partnerPt = pos[partner].Point(a)
 		}
-		for _, t := range sc.tcands[sc.tcandRow[i]:sc.tcandRow[i+1]] {
-			ord := a.TrapOrdinal(t)
-			tp := a.TrapPosAt(ord)
+		for _, ord := range sc.tcands[sc.tcandRow[i]:sc.tcandRow[i+1]] {
+			tp := a.TrapPosAt(int(ord))
 			w := moveCost(a, cur, tp)
 			if partner >= 0 {
 				w += alpha * moveCost(a, partnerPt, tp)
@@ -392,23 +391,24 @@ func tryReturnPlacement(
 	}
 	sc.assignTraps = sc.assignTraps[:0]
 	for i := range qubits {
-		sc.assignTraps = append(sc.assignTraps, sc.traps[rowTo[i]])
+		sc.assignTraps = append(sc.assignTraps, a.TrapAt(int(sc.traps[rowTo[i]])))
 	}
 	return sc.assignTraps, total, nil
 }
 
-// appendCandidateTraps appends S_cand^q for one qubit to dst: empty traps
-// inside the bounding box of the three anchor trap groups (paper Fig. 6c).
+// appendCandidateTraps appends S_cand^q for one qubit to dst, as trap
+// ordinals: empty traps inside the bounding box of the three anchor trap
+// groups (paper Fig. 6c).
 func appendCandidateTraps(
 	a *arch.Architecture,
-	dst []arch.TrapRef,
+	dst []int32,
 	q int,
 	pos []Pos,
 	home []arch.TrapRef,
 	related []int32,
-	occ []int,
+	occ []int32,
 	k int,
-) []arch.TrapRef {
+) []int32 {
 	cur := pos[q].Point(a)
 	// Only the anchors' bounding box matters, so each anchor extends it
 	// as it is found.
@@ -447,12 +447,11 @@ func appendCandidateTraps(
 			rHi, cHi := s.NearestTrap(geom.Point{X: box.MaxX, Y: box.MaxY})
 			for r := min(rLo, rHi); r <= max(rLo, rHi); r++ {
 				for c := min(cLo, cHi); c <= max(cLo, cHi); c++ {
-					t := arch.TrapRef{Zone: zi, SLM: si, Row: r, Col: c}
 					if !box.Contains(s.TrapPos(r, c)) {
 						continue
 					}
-					if occ[a.TrapOrdinal(t)] < 0 {
-						dst = append(dst, t)
+					if ord := a.TrapOrdinal(arch.TrapRef{Zone: zi, SLM: si, Row: r, Col: c}); occ[ord] < 0 {
+						dst = append(dst, int32(ord))
 					}
 				}
 			}

@@ -62,7 +62,7 @@ type saState struct {
 	near   []arch.SiteRef // cached NearestSite per qubit (trap-ordinal table)
 	// free traps for jump moves
 	free    []arch.TrapRef
-	occ     []int     // trap ordinal → qubit (-1 = empty)
+	occ     []int32   // trap ordinal → qubit (-1 = empty)
 	gatesOf [][]int32 // qubit → indices into gates
 	costs   []float64 // cached weighted contribution per gate
 }
@@ -70,7 +70,7 @@ type saState struct {
 // placeQubit moves q to trap ordinal ord, updating every per-qubit cache.
 func (s *saState) placeQubit(q, ord int, t arch.TrapRef) {
 	s.trapOf[q] = t
-	s.occ[ord] = q
+	s.occ[ord] = int32(q)
 	s.pts[q] = s.a.TrapPosAt(ord)
 	s.near[q] = s.a.NearestSiteOfTrap(ord)
 }
@@ -118,53 +118,65 @@ func (s *saState) Cost() float64 {
 	return s.sum()
 }
 
-func (s *saState) Propose(r *rand.Rand) func() {
-	_, undo := s.ProposeDelta(r)
-	return undo
+// saMove records one proposal for Undo: a jump of q from the trap now at
+// free[fi], a swap of q and q2, or (q2 == q) the lone qubit's no-op.
+type saMove struct {
+	q, q2, fi int
 }
 
-// ProposeDelta implements anneal.DeltaProblem: it performs the same move
-// distribution (and RNG draws) as the original Propose, then re-evaluates
+// ProposeDelta implements anneal.DeltaProblem: a jump of a random qubit to a
+// random free trap or a swap of two random qubits, then a re-evaluation of
 // only the touched gates.
-func (s *saState) ProposeDelta(r *rand.Rand) (float64, func()) {
+func (s *saState) ProposeDelta(r *rand.Rand) (float64, saMove) {
 	n := len(s.trapOf)
 	q := r.Intn(n)
 	if len(s.free) > 0 && r.Float64() < 0.5 {
 		// Jump to a random empty trap.
 		fi := r.Intn(len(s.free))
-		newTrap := s.free[fi]
-		oldTrap := s.trapOf[q]
-		oldOrd, newOrd := s.a.TrapOrdinal(oldTrap), s.a.TrapOrdinal(newTrap)
-		s.free[fi] = oldTrap
-		s.occ[oldOrd] = -1
-		s.placeQubit(q, newOrd, newTrap)
-		s.refreshGates(q, -1)
-		return s.sum(), func() {
-			s.free[fi] = newTrap
-			s.occ[newOrd] = -1
-			s.placeQubit(q, oldOrd, oldTrap)
-			s.refreshGates(q, -1)
-		}
+		s.jump(q, fi)
+		return s.sum(), saMove{q: q, q2: -1, fi: fi}
 	}
 	if n == 1 {
 		// A lone qubit with no free trap has no neighbor state; the old
 		// degenerate self-swap burned an RNG draw on a guaranteed no-op.
-		return s.sum(), func() {}
+		return s.sum(), saMove{q: q, q2: q}
 	}
 	// Swap two qubits' traps.
 	q2 := r.Intn(n)
 	for q2 == q {
 		q2 = r.Intn(n)
 	}
-	swap := func() {
-		s.trapOf[q], s.trapOf[q2] = s.trapOf[q2], s.trapOf[q]
-		o1, o2 := s.a.TrapOrdinal(s.trapOf[q]), s.a.TrapOrdinal(s.trapOf[q2])
-		s.placeQubit(q, o1, s.trapOf[q])
-		s.placeQubit(q2, o2, s.trapOf[q2])
-		s.refreshGates(q, q2)
+	s.swap(q, q2)
+	return s.sum(), saMove{q: q, q2: q2}
+}
+
+// Undo implements anneal.DeltaProblem. A jump is its own inverse from the
+// state it left (q's old trap is now free[fi]), and so is a swap.
+func (s *saState) Undo(m saMove) {
+	switch {
+	case m.q2 < 0:
+		s.jump(m.q, m.fi)
+	case m.q2 != m.q:
+		s.swap(m.q, m.q2)
 	}
-	swap()
-	return s.sum(), swap
+}
+
+// jump moves q to the free trap free[fi], which then holds q's old trap.
+func (s *saState) jump(q, fi int) {
+	newTrap, oldTrap := s.free[fi], s.trapOf[q]
+	s.free[fi] = oldTrap
+	s.occ[s.a.TrapOrdinal(oldTrap)] = -1
+	s.placeQubit(q, s.a.TrapOrdinal(newTrap), newTrap)
+	s.refreshGates(q, -1)
+}
+
+// swap exchanges the traps of q and q2.
+func (s *saState) swap(q, q2 int) {
+	s.trapOf[q], s.trapOf[q2] = s.trapOf[q2], s.trapOf[q]
+	o1, o2 := s.a.TrapOrdinal(s.trapOf[q]), s.a.TrapOrdinal(s.trapOf[q2])
+	s.placeQubit(q, o1, s.trapOf[q])
+	s.placeQubit(q2, o2, s.trapOf[q2])
+	s.refreshGates(q, q2)
 }
 
 // SAInitial refines the trivial initial placement with simulated annealing
@@ -183,13 +195,21 @@ func SAInitial(a *arch.Architecture, staged *circuit.Staged, iterations int, r *
 // index) without recomputing the Eq. 2 objective. The degenerate cases (no
 // 2Q gates, or a non-positive iteration budget) report cost 0.
 func SAInitialWithCost(a *arch.Architecture, staged *circuit.Staged, iterations int, r *rand.Rand) ([]arch.TrapRef, float64, error) {
+	traps, _, cost, err := saInitial(a, staged, iterations, r)
+	return traps, cost, err
+}
+
+// saInitial is SAInitialWithCost plus the storage occupancy of the
+// returned placement (trap ordinal → qubit, -1 = free), which the planner
+// takes over. The occupancy is nil in the degenerate cases.
+func saInitial(a *arch.Architecture, staged *circuit.Staged, iterations int, r *rand.Rand) ([]arch.TrapRef, []int32, float64, error) {
 	base, err := TrivialInitial(a, staged.NumQubits)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	gates := collectWeightedGates(staged)
 	if len(gates) == 0 || iterations <= 0 {
-		return base, 0, nil
+		return base, nil, 0, nil
 	}
 
 	// Candidate pool: the traps of the trivial placement plus the next rows
@@ -204,14 +224,11 @@ func SAInitialWithCost(a *arch.Architecture, staged *circuit.Staged, iterations 
 	st := &saState{
 		a:      a,
 		gates:  gates,
-		trapOf: append([]arch.TrapRef(nil), base...),
+		trapOf: base,
 		pts:    make([]geom.Point, staged.NumQubits),
 		near:   make([]arch.SiteRef, staged.NumQubits),
-		occ:    make([]int, a.TrapCount()),
+		occ:    newOccupancy(a),
 		costs:  make([]float64, len(gates)),
-	}
-	for i := range st.occ {
-		st.occ[i] = -1
 	}
 	for q, t := range st.trapOf {
 		st.placeQubit(q, a.TrapOrdinal(t), t)
@@ -228,6 +245,6 @@ func SAInitialWithCost(a *arch.Architecture, staged *circuit.Staged, iterations 
 			st.gatesOf[g.q2] = append(st.gatesOf[g.q2], int32(gi))
 		}
 	}
-	res := anneal.Run(st, anneal.Options{Iterations: iterations}, r)
-	return st.trapOf, res.BestCost, nil
+	res := anneal.RunDelta(st, anneal.Options{Iterations: iterations}, r)
+	return st.trapOf, st.occ, res.BestCost, nil
 }

@@ -14,9 +14,13 @@ func candidateSites(a *arch.Architecture, pts []geom.Point, delta int, excluded 
 	return appendCandidateSites(a, nil, pts, delta, excluded)
 }
 
-// candidateTraps returns S_cand^q for one qubit as a fresh slice.
-func candidateTraps(a *arch.Architecture, q int, pos []Pos, home []arch.TrapRef, related []int32, occ []int, k int) []arch.TrapRef {
-	return appendCandidateTraps(a, nil, q, pos, home, related, occ, k)
+// candidateTraps returns S_cand^q for one qubit as a fresh slice of traps.
+func candidateTraps(a *arch.Architecture, q int, pos []Pos, home []arch.TrapRef, related []int32, occ []int32, k int) []arch.TrapRef {
+	var traps []arch.TrapRef
+	for _, ord := range appendCandidateTraps(a, nil, q, pos, home, related, occ, k) {
+		traps = append(traps, a.TrapAt(int(ord)))
+	}
+	return traps
 }
 
 // TestGatePlacementMatchesBruteForce validates the Jonker–Volgenant gate

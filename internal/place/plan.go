@@ -147,26 +147,31 @@ type planner struct {
 	opts Options
 	pos  []Pos          // current position per qubit
 	home []arch.TrapRef // last storage trap per qubit
-	occ  []int          // trap ordinal → qubit, -1 = free
+	occ  []int32        // trap ordinal → qubit, -1 = free
 	sc   *transitionScratch
 	gap  float64    // least storage-trap↔site-slot distance (noReuseBound)
 	cov  *cover.Set // nil unless the context carries a collector
 }
 
 // newPlanner starts placement state with every qubit at its initial trap.
-func newPlanner(a *arch.Architecture, numQubits int, opts Options, initial []arch.TrapRef, cov *cover.Set) *planner {
+// occ is the occupancy of initial if the caller has it (the annealer
+// leaves one), which the planner then owns; nil builds it.
+func newPlanner(a *arch.Architecture, numQubits int, opts Options, initial []arch.TrapRef, occ []int32, cov *cover.Set) *planner {
 	pl := &planner{
 		a: a, opts: opts,
 		pos:  make([]Pos, numQubits),
 		home: append([]arch.TrapRef(nil), initial...),
-		occ:  newOccupancy(a),
+		occ:  occ,
 		sc:   newTransitionScratch(a, numQubits),
 		gap:  storageSlotGap(a),
 		cov:  cov,
 	}
+	if occ == nil {
+		pl.occ = newOccupancy(a)
+	}
 	for q, t := range initial {
 		pl.pos[q] = StoragePos(t)
-		pl.occ[a.TrapOrdinal(t)] = q
+		pl.occ[a.TrapOrdinal(t)] = int32(q)
 	}
 	return pl
 }
@@ -190,14 +195,15 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 
 	cov := cover.From(ctx)
 	var initial []arch.TrapRef
+	var occ []int32
 	var err error
 	if opts.UseSA {
 		cov.Hit("place:init:sa")
 		if opts.SARestarts <= 1 {
 			r := rand.New(rand.NewSource(opts.Seed))
-			initial, err = SAInitial(a, staged, opts.SAIterations, r)
+			initial, occ, _, err = saInitial(a, staged, opts.SAIterations, r)
 		} else {
-			initial, err = saRestarts(ctx, a, staged, opts, cov)
+			initial, occ, err = saRestarts(ctx, a, staged, opts, cov)
 		}
 	} else {
 		cov.Hit("place:init:trivial")
@@ -207,7 +213,7 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 		return nil, err
 	}
 
-	pl := newPlanner(a, staged.NumQubits, opts, initial, cov)
+	pl := newPlanner(a, staged.NumQubits, opts, initial, occ, cov)
 	plan := &Plan{Arch: a, Staged: staged, NumQubits: staged.NumQubits, Initial: initial}
 	ryd := staged.RydbergStages()
 	for t, si := range ryd {
@@ -276,6 +282,7 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 // saChain is one restart chain's outcome.
 type saChain struct {
 	traps []arch.TrapRef
+	occ   []int32
 	cost  float64
 }
 
@@ -284,19 +291,20 @@ type saChain struct {
 // Seed+i, results are assembled by chain index, and the winner minimizes
 // (best cost, chain index), so the outcome is independent of scheduling and
 // machine — chain 0 is bit-identical to the single-chain SAInitial run.
-func saRestarts(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, opts Options, cov *cover.Set) ([]arch.TrapRef, error) {
+// The winner's occupancy comes back with its traps.
+func saRestarts(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, opts Options, cov *cover.Set) ([]arch.TrapRef, []int32, error) {
 	cov.Hit("place:init:sa-restarts")
 	ctx, span := telemetry.Start(ctx, "place.sa_restarts")
 	span.SetInt("restarts", opts.SARestarts)
 	span.SetInt("workers", opts.Workers)
 	chains, err := engine.Map(ctx, opts.Workers, opts.SARestarts, func(i int) (saChain, error) {
 		r := rand.New(rand.NewSource(opts.Seed + int64(i)))
-		traps, cost, err := SAInitialWithCost(a, staged, opts.SAIterations, r)
-		return saChain{traps: traps, cost: cost}, err
+		traps, occ, cost, err := saInitial(a, staged, opts.SAIterations, r)
+		return saChain{traps: traps, occ: occ, cost: cost}, err
 	})
 	if err != nil {
 		span.End()
-		return nil, err
+		return nil, nil, err
 	}
 	best := 0
 	for i := 1; i < len(chains); i++ {
@@ -306,7 +314,7 @@ func saRestarts(ctx context.Context, a *arch.Architecture, staged *circuit.Stage
 	}
 	span.SetInt("winner", best)
 	span.End()
-	return chains[best].traps, nil
+	return chains[best].traps, chains[best].occ, nil
 }
 
 // transitionSolution is one candidate outcome of a stage transition.
@@ -526,8 +534,27 @@ func (pl *planner) solveTransitionOnce(prev *Step, cur, next []circuit.Gate, use
 	// staying qubit) and advanced reuse (zone residents from other sites).
 	// Remaining qubits take the free slots left-to-right by current x
 	// position, for any site arity (multi-trap sites, §III).
+	// Every gate's slots are a window of one array, and the moves are
+	// counted before they are collected.
+	width := 0
+	for _, g := range cur {
+		width += len(g.Qubits)
+	}
+	slotBuf := make([]int, width)
+	nIn := 0
 	for j, g := range cur {
-		sol.slots[j] = assignSlots(a, g.Qubits, posView, sol.sites[j], sc)
+		sol.slots[j], slotBuf = slotBuf[:len(g.Qubits):len(g.Qubits)], slotBuf[len(g.Qubits):]
+		assignSlots(a, g.Qubits, posView, sol.sites[j], sol.slots[j], sc)
+		for k, q := range g.Qubits {
+			if !posView[q].SameLocation(SitePos(sol.sites[j], sol.slots[j][k])) {
+				nIn++
+			}
+		}
+	}
+	if nIn > 0 {
+		sol.movesIn = make([]Move, 0, nIn)
+	}
+	for j, g := range cur {
 		for k, q := range g.Qubits {
 			target := SitePos(sol.sites[j], sol.slots[j][k])
 			if !posView[q].SameLocation(target) {
@@ -620,11 +647,10 @@ func axisGap(o1, d1 float64, n1 int, o2, d2 float64, n2 int) float64 {
 	return g
 }
 
-// assignSlots maps a gate's qubits to site slots: qubits already at the
-// site keep their slot; the rest take the free slots in ascending order,
-// matched to qubits in ascending current-x order.
-func assignSlots(a *arch.Architecture, qubits []int, pos []Pos, site arch.SiteRef, sc *transitionScratch) []int {
-	slots := make([]int, len(qubits))
+// assignSlots maps a gate's qubits to site slots, written to slots: qubits
+// already at the site keep their slot; the rest take the free slots in
+// ascending order, matched to qubits in ascending current-x order.
+func assignSlots(a *arch.Architecture, qubits []int, pos []Pos, site arch.SiteRef, slots []int, sc *transitionScratch) {
 	clear(sc.slotTaken)
 	sc.pending = sc.pending[:0] // indices into qubits
 	for k, q := range qubits {
@@ -648,7 +674,6 @@ func assignSlots(a *arch.Architecture, qubits []int, pos []Pos, site arch.SiteRe
 		slots[k] = next
 		sc.slotTaken[next] = true
 	}
-	return slots
 }
 
 // solveReturns computes the storage returns for every qubit of prev that is
@@ -677,7 +702,7 @@ func (pl *planner) solveReturns(prev *Step, stay []bool, cur []circuit.Gate) ([]
 		sc.related[q2] = int32(q1)
 	}
 
-	var moves []Move
+	moves := make([]Move, 0, len(leaving))
 	if pl.opts.Dynamic {
 		pl.cov.Hit("place:returns:dynamic")
 		assign, _, err := returnPlacement(a, leaving, pl.pos, pl.home, sc.related, pl.occ, pl.opts.KNeighbors, pl.opts.Alpha, sc, pl.cov)
@@ -715,7 +740,7 @@ func (pl *planner) commit(prev *Step, sol transitionSolution) {
 func (pl *planner) applyReturns(moves []Move) {
 	for _, m := range moves {
 		pl.pos[m.Qubit] = m.To
-		pl.occ[pl.a.TrapOrdinal(m.To.Trap)] = m.Qubit
+		pl.occ[pl.a.TrapOrdinal(m.To.Trap)] = int32(m.Qubit)
 		pl.home[m.Qubit] = m.To.Trap
 	}
 }

@@ -26,62 +26,121 @@ func Decompose(c *circuit.Circuit) (*circuit.Circuit, error) {
 
 // DecomposeKeep is Decompose with a set of multi-qubit kinds to keep native
 // (currently CCZ, for architectures with three-trap Rydberg sites; CCX maps
-// to H-conjugated CCZ).
+// to H-conjugated CCZ). A counting pass sizes the output, so its gate list
+// and the qubit and parameter storage of its new gates are allocated once.
 func DecomposeKeep(c *circuit.Circuit, keep map[circuit.Kind]bool) (*circuit.Circuit, error) {
-	out := circuit.New(c.Name, c.NumQubits)
+	var count gateBuf
+	if err := decompose(&count, c, keep); err != nil {
+		return nil, err
+	}
+	out := count.sized(circuit.New(c.Name, c.NumQubits))
+	if err := decompose(out, c, keep); err != nil {
+		return nil, err
+	}
+	return out.c, nil
+}
+
+// decompose writes the {CZ, U3} rewrite of c to out.
+func decompose(out *gateBuf, c *circuit.Circuit, keep map[circuit.Kind]bool) error {
 	for i, g := range c.Gates {
 		var err error
 		switch {
 		case keep[g.Kind]:
-			out.Gates = append(out.Gates, g)
+			out.keep(g)
 		case keep[circuit.CCZ] && g.Kind == circuit.CCX:
 			// CCX = H(t) · CCZ · H(t)
 			h(out, g.Qubits[2])
-			out.Append(circuit.CCZ, g.Qubits)
+			out.add(circuit.CCZ, g.Qubits)
 			h(out, g.Qubits[2])
 		case keep[circuit.CCZ] && g.Kind == circuit.CSWAP:
 			// Fredkin via native CCZ: CX(t2,t1) · H(t2)·CCZ·H(t2) · CX(t2,t1)
 			ctrl, t1, t2 := g.Qubits[0], g.Qubits[1], g.Qubits[2]
 			cx(out, t2, t1)
 			h(out, t2)
-			out.Append(circuit.CCZ, []int{ctrl, t1, t2})
+			out.add(circuit.CCZ, []int{ctrl, t1, t2})
 			h(out, t2)
 			cx(out, t2, t1)
 		default:
 			err = emit(out, g)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("resynth: gate %d (%s): %w", i, g.Kind, err)
+			return fmt.Errorf("resynth: gate %d (%s): %w", i, g.Kind, err)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// gateBuf appends gates to a circuit, carving each new gate's qubits and
+// parameters out of two shared slabs instead of allocating them per gate.
+// A gateBuf without a circuit only counts what it is given, so that a
+// first pass can size the real one.
+type gateBuf struct {
+	c                     *circuit.Circuit // nil while counting
+	gates, qubits, params int              // counted or reserved totals
+	qs                    []int
+	ps                    []float64
+}
+
+// sized returns a buffer writing to c with room for everything b counted.
+func (b *gateBuf) sized(c *circuit.Circuit) *gateBuf {
+	c.Gates = make([]circuit.Gate, 0, b.gates)
+	return &gateBuf{c: c, qs: make([]int, 0, b.qubits), ps: make([]float64, 0, b.params)}
+}
+
+// add appends a gate of kind k; its arity is the caller's to get right.
+func (b *gateBuf) add(k circuit.Kind, qubits []int, params ...float64) {
+	if b.c == nil {
+		b.gates++
+		b.qubits += len(qubits)
+		b.params += len(params)
+		return
+	}
+	g := circuit.Gate{Kind: k}
+	n := len(b.qs)
+	b.qs = append(b.qs, qubits...)
+	g.Qubits = b.qs[n:len(b.qs):len(b.qs)]
+	if len(params) > 0 {
+		n = len(b.ps)
+		b.ps = append(b.ps, params...)
+		g.Params = b.ps[n:len(b.ps):len(b.ps)]
+	}
+	b.c.Gates = append(b.c.Gates, g)
+}
+
+// keep appends an input gate as it is, sharing its qubits and parameters.
+func (b *gateBuf) keep(g circuit.Gate) {
+	if b.c == nil {
+		b.gates++
+		return
+	}
+	b.c.Gates = append(b.c.Gates, g)
 }
 
 // u3 appends a U3 gate with the given angles.
-func u3(out *circuit.Circuit, q int, theta, phi, lambda float64) {
-	out.Append(circuit.U3, []int{q}, theta, phi, lambda)
+func u3(out *gateBuf, q int, theta, phi, lambda float64) {
+	out.add(circuit.U3, []int{q}, theta, phi, lambda)
 }
 
 // cz appends a CZ gate.
-func cz(out *circuit.Circuit, a, b int) { out.Append(circuit.CZ, []int{a, b}) }
+func cz(out *gateBuf, a, b int) { out.add(circuit.CZ, []int{a, b}) }
 
 // h emits a Hadamard as U3(π/2, 0, π).
-func h(out *circuit.Circuit, q int) { u3(out, q, math.Pi/2, 0, math.Pi) }
+func h(out *gateBuf, q int) { u3(out, q, math.Pi/2, 0, math.Pi) }
 
 // cx emits CNOT(control, target) = H(t)·CZ·H(t).
-func cx(out *circuit.Circuit, c, t int) {
+func cx(out *gateBuf, c, t int) {
 	h(out, t)
 	cz(out, c, t)
 	h(out, t)
 }
 
 // rz emits RZ(θ) ~ U3(0, 0, θ) (up to global phase).
-func rz(out *circuit.Circuit, q int, theta float64) { u3(out, q, 0, 0, theta) }
+func rz(out *gateBuf, q int, theta float64) { u3(out, q, 0, 0, theta) }
 
 // ry emits RY(θ) = U3(θ, 0, 0).
-func ry(out *circuit.Circuit, q int, theta float64) { u3(out, q, theta, 0, 0) }
+func ry(out *gateBuf, q int, theta float64) { u3(out, q, theta, 0, 0) }
 
-func emit(out *circuit.Circuit, g circuit.Gate) error {
+func emit(out *gateBuf, g circuit.Gate) error {
 	q := g.Qubits
 	switch g.Kind {
 	case circuit.U3:
@@ -207,7 +266,7 @@ func emit(out *circuit.Circuit, g circuit.Gate) error {
 		// Fredkin: CX(t2,t1) · CCX(c,t1,t2) · CX(t2,t1)
 		cGate, t1, t2 := q[0], q[1], q[2]
 		cx(out, t2, t1)
-		if err := emit(out, circuit.NewGate(circuit.CCX, []int{cGate, t1, t2})); err != nil {
+		if err := emit(out, circuit.Gate{Kind: circuit.CCX, Qubits: []int{cGate, t1, t2}}); err != nil {
 			return err
 		}
 		cx(out, t2, t1)

@@ -16,9 +16,28 @@ const identityTol = 1e-9
 // angles; accumulated identities are dropped entirely. The input may contain
 // arbitrary 1Q kinds; the output contains only {CZ, U3}.
 func Optimize1Q(c *circuit.Circuit) (*circuit.Circuit, error) {
-	out := circuit.New(c.Name, c.NumQubits)
 	pending := make([]linalg.Mat2, c.NumQubits)
 	dirty := make([]bool, c.NumQubits)
+	// Size the output: every multi-qubit gate is copied, and every run of
+	// 1Q gates on one qubit becomes at most one U3.
+	var size gateBuf
+	for _, g := range c.Gates {
+		switch {
+		case g.Kind == circuit.Measure || g.Kind == circuit.Barrier:
+		case len(g.Qubits) == 1:
+			if q := g.Qubits[0]; !dirty[q] {
+				dirty[q] = true
+				size.add(circuit.U3, g.Qubits, 0, 0, 0)
+			}
+		default:
+			for _, q := range g.Qubits {
+				dirty[q] = false
+			}
+			size.add(g.Kind, g.Qubits)
+		}
+	}
+	clear(dirty)
+	out := size.sized(circuit.New(c.Name, c.NumQubits))
 	for q := range pending {
 		pending[q] = linalg.Identity()
 	}
@@ -37,7 +56,7 @@ func Optimize1Q(c *circuit.Circuit) (*circuit.Circuit, error) {
 		if err != nil {
 			return err
 		}
-		out.Append(circuit.U3, []int{q}, th, ph, la)
+		out.add(circuit.U3, []int{q}, th, ph, la)
 		return nil
 	}
 
@@ -59,7 +78,7 @@ func Optimize1Q(c *circuit.Circuit) (*circuit.Circuit, error) {
 					return nil, err
 				}
 			}
-			out.Append(g.Kind, g.Qubits)
+			out.add(g.Kind, g.Qubits)
 		default:
 			return nil, fmt.Errorf("resynth: Optimize1Q expects a {CZ,CCZ,1Q} circuit, found %s at %d", g.Kind, i)
 		}
@@ -69,5 +88,5 @@ func Optimize1Q(c *circuit.Circuit) (*circuit.Circuit, error) {
 			return nil, err
 		}
 	}
-	return out, nil
+	return out.c, nil
 }

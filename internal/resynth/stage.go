@@ -9,54 +9,68 @@ import (
 // Schedule performs ASAP scheduling of a {CZ,U3} circuit into alternating
 // stages (paper Fig. 4): each Rydberg stage holds CZ gates on disjoint qubit
 // pairs (one global Rydberg exposure), preceded by a 1Q stage holding the U3
-// gates that must run before it. Dependency order is preserved.
+// gates that must run before it. Dependency order is preserved. Every stage
+// is a window of one gate array, sized by a counting pass.
 func Schedule(c *circuit.Circuit) (*circuit.Staged, error) {
 	// ASAP level per CZ gate: a CZ goes to Rydberg stage t where t is one
 	// more than the largest stage of any earlier CZ sharing a qubit. U3 gates
 	// attach to the 1Q stage immediately before the next CZ on their qubit
-	// (or the trailing stage).
-	type czInfo struct {
-		idx   int
-		stage int
-	}
+	// (or the trailing stage). Slot 2t of the count holds the 1Q stage
+	// before Rydberg stage t, slot 2t+1 Rydberg stage t.
 	stageOfQubit := make([]int, c.NumQubits) // next available Rydberg stage per qubit
-	var czStages [][]circuit.Gate
-	// oneQBefore[t] = U3 gates to run before Rydberg stage t; index len(czStages)
-	// collects trailing gates.
-	oneQBefore := map[int][]circuit.Gate{}
-
+	slot := make([]int, len(c.Gates))
+	var count []int
 	for i, g := range c.Gates {
 		switch g.Kind {
 		case circuit.U3:
-			q := g.Qubits[0]
-			oneQBefore[stageOfQubit[q]] = append(oneQBefore[stageOfQubit[q]], g)
+			slot[i] = 2 * stageOfQubit[g.Qubits[0]]
 		case circuit.CZ, circuit.CCZ:
 			t := 0
 			for _, q := range g.Qubits {
-				if stageOfQubit[q] > t {
-					t = stageOfQubit[q]
-				}
+				t = max(t, stageOfQubit[q])
 			}
-			for len(czStages) <= t {
-				czStages = append(czStages, nil)
-			}
-			czStages[t] = append(czStages[t], g)
 			for _, q := range g.Qubits {
 				stageOfQubit[q] = t + 1
 			}
+			slot[i] = 2*t + 1
 		default:
 			return nil, fmt.Errorf("resynth: Schedule expects {CZ,CCZ,U3}, found %s at %d", g.Kind, i)
 		}
+		for len(count) <= slot[i] {
+			count = append(count, 0)
+		}
+		count[slot[i]]++
 	}
 
-	s := &circuit.Staged{Name: c.Name, NumQubits: c.NumQubits}
-	for t := 0; t <= len(czStages); t++ {
-		if gs := oneQBefore[t]; len(gs) > 0 {
-			s.Stages = append(s.Stages, circuit.Stage{Kind: circuit.OneQStage, Gates: gs})
+	// Turn the counts into window offsets, then drop each gate into its
+	// window in circuit order.
+	offset := make([]int, len(count))
+	stages := 0
+	for k, n := range count {
+		if k > 0 {
+			offset[k] = offset[k-1] + count[k-1]
 		}
-		if t < len(czStages) && len(czStages[t]) > 0 {
-			s.Stages = append(s.Stages, circuit.Stage{Kind: circuit.RydbergStage, Gates: czStages[t]})
+		if n > 0 {
+			stages++
 		}
+	}
+	gates := make([]circuit.Gate, len(c.Gates))
+	fill := append([]int(nil), offset...)
+	for i, g := range c.Gates {
+		gates[fill[slot[i]]] = g
+		fill[slot[i]]++
+	}
+	s := &circuit.Staged{Name: c.Name, NumQubits: c.NumQubits, Stages: make([]circuit.Stage, 0, stages)}
+	for k, n := range count {
+		if n == 0 {
+			continue
+		}
+		kind := circuit.OneQStage
+		if k%2 == 1 {
+			kind = circuit.RydbergStage
+		}
+		lo, hi := offset[k], offset[k]+n
+		s.Stages = append(s.Stages, circuit.Stage{Kind: kind, Gates: gates[lo:hi:hi]})
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

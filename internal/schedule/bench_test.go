@@ -1,4 +1,4 @@
-package schedule
+package schedule_test
 
 import (
 	"context"
@@ -11,6 +11,8 @@ import (
 	"zac/internal/circuit"
 	"zac/internal/place"
 	"zac/internal/resynth"
+	"zac/internal/schedule"
+	"zac/internal/workload"
 )
 
 // Multi-core scaling benchmark over the parallelized compile hot path:
@@ -39,13 +41,29 @@ func stagedFor(b *testing.B, name string) *circuit.Staged {
 }
 
 // BenchmarkBuildPlanSched measures BuildPlan (SA+dynPlace+reuse with
-// SARestarts=8) followed by schedule.BuildWithOptions, at 1 and 8 procs.
-// Outputs are byte-identical across the proc axis by construction; only the
-// wall clock may differ.
+// SARestarts=8) followed by schedule.BuildWithOptions, at 1 and 8 procs,
+// on two subset circuits and on forge-scale's largest QAOA spec, split to
+// site capacity as that workload splits it. Outputs are byte-identical
+// across the proc axis by construction; only the wall clock may differ.
 func BenchmarkBuildPlanSched(b *testing.B) {
 	a := arch.Reference()
-	for _, name := range []string{"qft_n18", "ising_n42"} {
-		staged := stagedFor(b, name)
+	c, err := workload.Build("qaoa:n=192,p=2,seed=1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	forge, err := resynth.Preprocess(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name   string
+		staged *circuit.Staged
+	}{
+		{"qft_n18", stagedFor(b, "qft_n18")},
+		{"ising_n42", stagedFor(b, "ising_n42")},
+		{"forge_qaoa_n192", circuit.SplitRydbergStages(forge, a.TotalSites())},
+	} {
+		name, staged := in.name, in.staged
 		for _, procs := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/gmp%d", name, procs), func(b *testing.B) {
 				prev := runtime.GOMAXPROCS(procs)
@@ -60,7 +78,7 @@ func BenchmarkBuildPlanSched(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := BuildWithOptions(context.Background(), a, staged, plan, Options{Workers: procs}); err != nil {
+					if _, err := schedule.BuildWithOptions(context.Background(), a, staged, plan, schedule.Options{Workers: procs}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -18,11 +18,11 @@
 package schedule
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"zac/internal/arch"
 	"zac/internal/circuit"
@@ -82,6 +82,14 @@ type scheduler struct {
 	stats fidelity.Stats
 	clock float64
 	jobs  int
+
+	// Scratch reused by every stage and movement phase of one schedule.
+	unitary map[[3]float64]int // 1Q stage: unitary → group ordinal
+	specs   []moveSpec
+	ms      []zair.MoveSpec
+	built   []builtJob
+	picks   []pickup
+	emitted []zair.RearrangeJob
 }
 
 func (s *scheduler) run(ctx context.Context) (*Result, error) {
@@ -132,58 +140,55 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 // location list, §IX); execution remains sequential per gate — the paper's
 // conservative timing model.
 func (s *scheduler) emitOneQStage(st circuit.Stage) {
-	type key [3]float64
 	n := len(st.Gates)
 	if n == 0 {
 		return
 	}
-	// Group gates by unitary without per-group slice growth: count members
-	// per distinct unitary (first-appearance order), then partition one
-	// shared backing array by group offsets. Gate order within a group is
-	// unchanged, so the emitted instructions are byte-identical to the old
-	// append-per-gate construction.
-	ord := make(map[key]int, n)
-	var orderKeys []key
-	var counts []int
+	// Group gates by unitary in first-appearance order: count members per
+	// distinct unitary, then carve every instruction's locations out of one
+	// array by group offsets. Gate order within a group is circuit order.
+	if s.unitary == nil {
+		s.unitary = make(map[[3]float64]int, n)
+	}
+	clear(s.unitary)
+	var keys [][3]float64
+	offsets := []int{0}    // offsets[o+1] counts, then ends, group o
 	gidx := make([]int, n) // gate → group ordinal
 	for gi, g := range st.Gates {
-		k := key{g.Params[0], g.Params[1], g.Params[2]}
-		o, ok := ord[k]
+		k := [3]float64{g.Params[0], g.Params[1], g.Params[2]}
+		o, ok := s.unitary[k]
 		if !ok {
-			o = len(orderKeys)
-			ord[k] = o
-			orderKeys = append(orderKeys, k)
-			counts = append(counts, 0)
+			o = len(keys)
+			s.unitary[k] = o
+			keys = append(keys, k)
+			offsets = append(offsets, 0)
 		}
-		counts[o]++
+		offsets[o+1]++
 		gidx[gi] = o
 	}
-	offsets := make([]int, len(counts)+1)
-	for o, c := range counts {
-		offsets[o+1] = offsets[o] + c
+	for o, sum := 1, 0; o < len(offsets); o++ {
+		offsets[o], sum = sum, sum+offsets[o]
 	}
-	members := make([]int, n)
-	fill := append([]int(nil), offsets[:len(counts)]...)
+	locs := make([]zair.QLoc, n)
 	for gi, g := range st.Gates {
 		o := gidx[gi]
-		members[fill[o]] = g.Qubits[0]
-		fill[o]++
+		locs[offsets[o+1]] = zair.QLoc{Q: g.Qubits[0]}
+		offsets[o+1]++
 	}
-	for o, k := range orderKeys {
-		qubits := members[offsets[o]:offsets[o+1]]
+	for o, k := range keys {
+		group := locs[offsets[o]:offsets[o+1]:offsets[o+1]]
 		begin := s.clock
-		end := begin + s.a.Times.OneQGate*float64(len(qubits))
-		inst := zair.OneQGate{
+		end := begin + s.a.Times.OneQGate*float64(len(group))
+		for _, l := range group {
+			s.stats.OneQGates++
+			s.stats.AddBusy(l.Q, s.a.Times.OneQGate)
+		}
+		s.prog.Instructions = append(s.prog.Instructions, zair.OneQGate{
 			Unitary:   k,
+			Locs:      group,
 			BeginTime: begin,
 			EndTime:   end,
-		}
-		for _, q := range qubits {
-			inst.Locs = append(inst.Locs, zair.QLoc{Q: q})
-			s.stats.OneQGates++
-			s.stats.AddBusy(q, s.a.Times.OneQGate)
-		}
-		s.prog.Instructions = append(s.prog.Instructions, inst)
+		})
 		s.clock = end
 	}
 }
@@ -221,14 +226,17 @@ func (s *scheduler) emitMovePhase(ctx context.Context, moves []place.Move) error
 	if len(moves) == 0 {
 		return nil
 	}
-	specs := make([]moveSpec, len(moves))
-	for i, m := range moves {
-		specs[i] = moveSpec{
-			move: m,
-			from: m.From.Point(s.a),
-			to:   m.To.Point(s.a),
-		}
+	specs := slices.Grow(s.specs[:0], len(moves))
+	for _, m := range moves {
+		specs = append(specs, moveSpec{
+			move:  m,
+			from:  m.From.Point(s.a),
+			to:    m.To.Point(s.a),
+			begin: s.posQLoc(m.Qubit, m.From),
+			end:   s.posQLoc(m.Qubit, m.To),
+		})
 	}
+	s.specs = specs
 	groups, gerr := groupCompatible(ctx, s.workers, specs)
 	if gerr != nil {
 		return gerr
@@ -250,50 +258,70 @@ func (s *scheduler) emitMovePhase(ctx context.Context, moves []place.Move) error
 
 var errCyclicJobs = fmt.Errorf("schedule: cyclic trap dependencies within a movement phase")
 
+// builtJob is one movement group's rearrangement job while its phase is
+// scheduled.
+type builtJob struct {
+	job    zair.RearrangeJob
+	dur    float64
+	deps   []int // job indices that must complete first
+	placed bool
+	begin  float64
+}
+
+// pickup records that a job picks an atom up at a trap (Q zeroed).
+type pickup struct {
+	at  zair.QLoc
+	job int
+}
+
+func compareQLoc(a, b zair.QLoc) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.R, b.R); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.C, b.C)
+}
+
 // emitJobsForGroups builds one rearrangement job per movement group,
 // analyzes Fig. 7a trap dependencies between them, and schedules them onto
 // the AODs.
 func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
-	// Build one job per group, tracking its source and target traps for the
-	// Fig. 7a trap-dependency analysis.
-	type builtJob struct {
-		job     zair.RearrangeJob
-		dur     float64
-		targets []zair.QLoc // trap part only (Q zeroed)
-		deps    []int       // job indices that must complete first
-		placed  bool
-		begin   float64
-	}
 	trapOf := func(l zair.QLoc) zair.QLoc { l.Q = 0; return l }
-	jobs := make([]*builtJob, len(groups))
-	pickedBy := make(map[zair.QLoc][]int, len(specs)) // trap → jobs picking an atom up there
+	if cap(s.built) < len(groups) {
+		s.built = make([]builtJob, len(groups))
+	}
+	jobs := s.built[:len(groups)]
+	picks := s.picks[:0]
 	for ji, g := range groups {
-		ms := make([]zair.MoveSpec, 0, len(g))
-		bj := &builtJob{targets: make([]zair.QLoc, 0, len(g))}
+		ms := s.ms[:0]
 		for _, i := range g {
-			sp := specs[i]
-			begin := s.posQLoc(sp.move.Qubit, sp.move.From)
-			end := s.posQLoc(sp.move.Qubit, sp.move.To)
+			sp := &specs[i]
 			ms = append(ms, zair.MoveSpec{
-				Qubit: sp.move.Qubit, Begin: begin, End: end,
+				Qubit: sp.move.Qubit, Begin: sp.begin, End: sp.end,
 				From: sp.from, To: sp.to,
 			})
-			pickedBy[trapOf(begin)] = append(pickedBy[trapOf(begin)], ji)
-			bj.targets = append(bj.targets, trapOf(end))
+			picks = append(picks, pickup{at: trapOf(sp.begin), job: ji})
 		}
+		s.ms = ms
 		job, timing := zair.BuildJob(0, ms, s.a.Times.AtomTransfer, s.a.MoveTime)
-		bj.job, bj.dur = job, timing.Total()
-		jobs[ji] = bj
+		jobs[ji] = builtJob{job: job, dur: timing.Total(), deps: jobs[ji].deps[:0]}
 	}
+	s.picks = picks
 
 	// Trap dependencies within the phase (Fig. 7a): a job dropping into a
 	// trap must wait for the job that picks an atom up from that trap.
 	// Advanced in-zone reuse is the only source of such pairs. deps is a
 	// set; its order does not affect the schedule.
-	for ai, a := range jobs {
-		for _, t := range a.targets {
-			for _, bi := range pickedBy[t] {
-				if bi != ai && !slices.Contains(a.deps, bi) {
+	slices.SortFunc(picks, func(x, y pickup) int { return compareQLoc(x.at, y.at) })
+	for ai := range jobs {
+		a := &jobs[ai]
+		for _, i := range groups[ai] {
+			t := trapOf(specs[i].end)
+			k, _ := slices.BinarySearchFunc(picks, t, func(p pickup, t zair.QLoc) int { return compareQLoc(p.at, t) })
+			for ; k < len(picks) && picks[k].at == t; k++ {
+				if bi := picks[k].job; bi != ai && !slices.Contains(a.deps, bi) {
 					a.deps = append(a.deps, bi)
 				}
 			}
@@ -308,10 +336,11 @@ func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
 		avail[i] = s.clock
 	}
 	phaseEnd := s.clock
-	var emitted []zair.RearrangeJob
+	emitted := s.emitted[:0]
 	for placed := 0; placed < len(jobs); {
 		pick := -1
-		for i, bj := range jobs {
+		for i := range jobs {
+			bj := &jobs[i]
 			if bj.placed {
 				continue
 			}
@@ -332,7 +361,7 @@ func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
 		if pick == -1 {
 			return errCyclicJobs
 		}
-		bj := jobs[pick]
+		bj := &jobs[pick]
 		best := 0
 		for i := 1; i < len(avail); i++ {
 			if avail[i] < avail[best] {
@@ -357,17 +386,20 @@ func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
 		placed++
 		emitted = append(emitted, bj.job)
 	}
+	s.emitted = emitted
 	// Commit only after the whole phase scheduled (the caller may retry
 	// with different groups on errCyclicJobs). Emit in begin-time order so
 	// the instruction stream replays causally.
-	sort.SliceStable(emitted, func(i, j int) bool { return emitted[i].BeginTime < emitted[j].BeginTime })
+	slices.SortStableFunc(emitted, func(x, y zair.RearrangeJob) int { return cmp.Compare(x.BeginTime, y.BeginTime) })
 	for _, j := range emitted {
 		s.prog.Instructions = append(s.prog.Instructions, j)
 		s.jobs++
 		dur := j.EndTime - j.BeginTime
-		for _, q := range j.Qubits() {
-			s.stats.AddBusy(q, dur)
-			s.stats.Transfers += 2
+		for _, row := range j.BeginLocs {
+			for _, l := range row {
+				s.stats.AddBusy(l.Q, dur)
+				s.stats.Transfers += 2
+			}
 		}
 	}
 	s.clock = phaseEnd
@@ -375,8 +407,9 @@ func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
 }
 
 type moveSpec struct {
-	move     place.Move
-	from, to geom.Point
+	move       place.Move
+	from, to   geom.Point
+	begin, end zair.QLoc
 }
 
 // compatible reports whether two movements can share one AOD sweep: the
@@ -404,15 +437,14 @@ func axisCompatible(a0, b0, a1, b1 float64) bool {
 // conflict graph (paper §VI, following Enola's O(n² log n) approach). The
 // O(n²) compatibility scan fills the upper triangle of a conflict bit
 // matrix, one row per move; on wide phases the rows fan out to workers
-// goroutines, each row owned by one. The adjacency is then built
-// sequentially from the bits, every row carved out of one buffer after a
-// degree count, with each adj[k] listing the neighbors below k ascending,
-// then those above k ascending, so the partition (and therefore the
-// program bytes) is the same at any worker count.
+// goroutines, each row owned by one, and each row first checks the
+// caller's context. The lower triangle is then mirrored in place, so the
+// partition reads the same symmetric matrix (and the program bytes are the
+// same) at any worker count.
 func groupCompatible(ctx context.Context, workers int, specs []moveSpec) ([][]int, error) {
 	n := len(specs)
 	words := (n + 63) / 64
-	conflict := make([]uint64, n*words) // row i, bit j: j > i conflicts with i
+	conflict := make([]uint64, n*words) // row i, bit j: i and j conflict
 	scan := func(i int) {
 		row := conflict[i*words : (i+1)*words]
 		for j := i + 1; j < n; j++ {
@@ -422,11 +454,17 @@ func groupCompatible(ctx context.Context, workers int, specs []moveSpec) ([][]in
 		}
 	}
 	if workers > 1 && n >= minParallelMoves {
-		ctx, span := telemetry.Start(ctx, "schedule.conflict_graph")
+		wctx, span := telemetry.Start(ctx, "schedule.conflict_graph")
 		span.SetInt("moves", n)
 		span.SetInt("workers", workers)
 		defer span.End()
-		if err := engine.ForEach(ctx, workers, n, func(i int) error { scan(i); return nil }); err != nil {
+		if err := engine.ForEach(wctx, workers, n, func(i int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			scan(i)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
 	} else {
@@ -434,41 +472,17 @@ func groupCompatible(ctx context.Context, workers int, specs []moveSpec) ([][]in
 			scan(i)
 		}
 	}
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for w, word := range conflict[i*words : (i+1)*words] {
-			deg[i] += bits.OnesCount64(word)
-			for ; word != 0; word &= word - 1 {
-				deg[w*64+bits.TrailingZeros64(word)]++
-			}
-		}
-	}
-	adj := carveRows(deg)
-	for i := 0; i < n; i++ {
+	// Bottom row first: row i still holds only its upper triangle when its
+	// bits are copied into the rows below the diagonal.
+	for i := n - 1; i >= 0; i-- {
 		for w, word := range conflict[i*words : (i+1)*words] {
 			for ; word != 0; word &= word - 1 {
 				j := w*64 + bits.TrailingZeros64(word)
-				adj[j] = append(adj[j], i)
-				adj[i] = append(adj[i], j)
+				conflict[j*words+i/64] |= 1 << (i % 64)
 			}
 		}
 	}
-	return graphalgo.PartitionIntoIndependentSets(n, adj), nil
-}
-
-// carveRows returns empty adjacency rows with capacity deg[i] each, all
-// backed by one buffer, so filling them appends without allocating.
-func carveRows(deg []int) [][]int {
-	total := 0
-	for _, d := range deg {
-		total += d
-	}
-	buf := make([]int, total)
-	adj := make([][]int, len(deg))
-	for i, d := range deg {
-		adj[i], buf = buf[:0:d], buf[d:]
-	}
-	return adj
+	return graphalgo.PartitionIntoIndependentSets(n, conflict), nil
 }
 
 // trapQLoc renders a storage trap as a ZAIR qloc.

@@ -205,8 +205,8 @@ func TestGroupCompatibleCoversAll(t *testing.T) {
 }
 
 // TestGroupCompatibleMatchesPairwise checks the conflict bit matrix across
-// word boundaries: serial and parallel scans must give the groups of the
-// plain pairwise adjacency.
+// word boundaries: serial and parallel scans, with the lower triangle
+// mirrored in place, must give the groups of the plain pairwise matrix.
 func TestGroupCompatibleMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for _, n := range []int{1, 2, 63, 64, 65, 150} {
@@ -215,16 +215,16 @@ func TestGroupCompatibleMatchesPairwise(t *testing.T) {
 			specs[i].from = geom.Point{X: float64(r.Intn(30)), Y: float64(r.Intn(30))}
 			specs[i].to = geom.Point{X: float64(r.Intn(30)), Y: float64(r.Intn(30))}
 		}
-		adj := make([][]int, n)
+		words := (n + 63) / 64
+		conflict := make([]uint64, n*words)
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if !compatible(specs[i], specs[j]) {
-					adj[i] = append(adj[i], j)
-					adj[j] = append(adj[j], i)
+			for j := 0; j < n; j++ {
+				if i != j && !compatible(specs[i], specs[j]) {
+					conflict[i*words+j/64] |= 1 << (j % 64)
 				}
 			}
 		}
-		want := graphalgo.PartitionIntoIndependentSets(n, adj)
+		want := graphalgo.PartitionIntoIndependentSets(n, conflict)
 		for _, workers := range []int{1, 2} {
 			got, err := groupCompatible(context.Background(), workers, specs)
 			if err != nil {

@@ -130,6 +130,8 @@ type Server struct {
 	jobSeq   int
 	latency  map[string]*latencyAgg // per compiler
 	passes   map[string]*latencyAgg // per "compiler/pass"
+
+	archs sync.Map // compiler name → its default *arch.Architecture
 }
 
 // latencyAgg accumulates fresh-compilation wall-clock latency per key.
@@ -439,7 +441,7 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, defaultComp
 	if err != nil {
 		return nil, "", err
 	}
-	a, err := resolveArch(req, c)
+	a, err := s.resolveArch(req, c)
 	if err != nil {
 		return nil, "", err
 	}
@@ -631,9 +633,11 @@ func resolveCircuit(req CompileRequest) (func() (*circuit.Circuit, error), strin
 // resolveArch decodes the request's architecture (default: the compiler's
 // target architecture — the paper's reference for ZAC and the zoned
 // baselines, the monolithic grid for Enola and Atomique) and applies the
-// AOD override.
-func resolveArch(req CompileRequest, c compiler.Compiler) (*arch.Architecture, error) {
-	a := compiler.TargetArch(c)
+// AOD override. The default is one value per compiler for the server's
+// lifetime, so its fingerprint and topology are computed once and a cache
+// hit on it computes neither.
+func (s *Server) resolveArch(req CompileRequest, c compiler.Compiler) (*arch.Architecture, error) {
+	a := s.defaultArch(c)
 	if len(req.Arch) > 0 {
 		a = &arch.Architecture{}
 		if err := json.Unmarshal(req.Arch, a); err != nil {
@@ -644,6 +648,16 @@ func resolveArch(req CompileRequest, c compiler.Compiler) (*arch.Architecture, e
 		a = arch.WithAODs(a, req.AODs)
 	}
 	return a, nil
+}
+
+// defaultArch returns the server's one instance of c's target
+// architecture.
+func (s *Server) defaultArch(c compiler.Compiler) *arch.Architecture {
+	if a, ok := s.archs.Load(c.Name()); ok {
+		return a.(*arch.Architecture)
+	}
+	a, _ := s.archs.LoadOrStore(c.Name(), compiler.TargetArch(c))
+	return a.(*arch.Architecture)
 }
 
 // recordLatency folds one fresh compilation into the per-compiler

@@ -15,6 +15,7 @@ import (
 
 	"zac/internal/arch"
 	"zac/internal/bench"
+	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/engine"
 )
@@ -349,4 +350,38 @@ func TestFormatZairRejectsBatchAndAsync(t *testing.T) {
 func strconv(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
+}
+
+// TestDefaultArchShared requires every request on a compiler's default
+// architecture to resolve to one value, so its fingerprint is computed
+// once; an AOD override gets its own copy.
+func TestDefaultArchShared(t *testing.T) {
+	s := New(Options{})
+	for _, name := range []string{"zac", "enola"} {
+		c, err := compiler.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a1, err := s.resolveArch(CompileRequest{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a2, err := s.resolveArch(CompileRequest{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a1 != a2 {
+			t.Errorf("%s: two requests resolved two default architectures", name)
+		}
+		a1.Fingerprint()
+		if allocs := testing.AllocsPerRun(20, func() {
+			a, _ := s.resolveArch(CompileRequest{}, c)
+			a.Fingerprint()
+		}); allocs != 0 {
+			t.Errorf("%s: resolving the default architecture allocates %v times", name, allocs)
+		}
+		if w, _ := s.resolveArch(CompileRequest{AODs: 2}, c); w == a1 || len(w.AODs) != 2 {
+			t.Errorf("%s: AOD override did not copy the default", name)
+		}
+	}
 }

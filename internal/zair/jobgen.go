@@ -1,7 +1,8 @@
 package zair
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"zac/internal/geom"
 )
@@ -33,24 +34,52 @@ func (t JobTiming) Total() float64 { return t.PickupDur + t.MoveDur + t.DropDur 
 //
 // transferTime is the atom-transfer duration Ttran; moveTime converts a
 // distance to a movement duration (architecture-specific).
+//
+// The rows are cut from one copy of the moves sorted by begin (y, x), and
+// every slice of the job is a window of a few arrays sized from the move
+// and row counts.
 func BuildJob(aodID int, moves []MoveSpec, transferTime float64, moveTime func(d float64) float64) (RearrangeJob, JobTiming) {
 	if len(moves) == 0 {
 		return RearrangeJob{AODID: aodID}, JobTiming{}
 	}
-	// Group by begin row (y coordinate), ordered bottom-up; within a row
-	// order by x so AOD columns keep their relative order.
-	byY := map[float64][]MoveSpec{}
-	var ys []float64
-	for _, m := range moves {
-		if _, ok := byY[m.From.Y]; !ok {
-			ys = append(ys, m.From.Y)
+	// Rows ordered bottom-up; within a row order by x so AOD columns keep
+	// their relative order.
+	sorted := slices.Clone(moves)
+	slices.SortStableFunc(sorted, func(a, b MoveSpec) int {
+		if c := cmp.Compare(a.From.Y, b.From.Y); c != 0 {
+			return c
 		}
-		byY[m.From.Y] = append(byY[m.From.Y], m)
+		return cmp.Compare(a.From.X, b.From.X)
+	})
+	n, rows := len(sorted), 1
+	for i := 1; i < n; i++ {
+		if sorted[i].From.Y != sorted[i-1].From.Y {
+			rows++
+		}
 	}
-	sort.Float64s(ys)
-
-	job := RearrangeJob{AODID: aodID}
+	ints := make([]int, 0, 3*(rows+n))
+	floats := make([]float64, 0, 3*(rows+n))
+	takeInts := func(k int) []int {
+		ints = ints[:len(ints)+k]
+		return ints[len(ints)-k : len(ints) : len(ints)]
+	}
+	takeFloats := func(k int) []float64 {
+		floats = floats[:len(floats)+k]
+		return floats[len(floats)-k : len(floats) : len(floats)]
+	}
+	begins, ends := make([]QLoc, n), make([]QLoc, n)
+	job := RearrangeJob{
+		AODID:     aodID,
+		BeginLocs: make([][]QLoc, 0, rows),
+		EndLocs:   make([][]QLoc, 0, rows),
+		Insts:     make([]MachineInst, 0, rows+2),
+	}
 	var timing JobTiming
+	mv := Move{
+		RowID: takeInts(rows), RowYBegin: takeFloats(rows), RowYEnd: takeFloats(rows),
+		ColID: takeInts(n), ColXBegin: takeFloats(n), ColXEnd: takeFloats(n),
+	}
+	deact := Deactivate{RowID: takeInts(rows), ColID: takeInts(n)}
 
 	// Pickup: one activate per begin row. Between consecutive row
 	// activations a small parking shift may be needed so already-picked
@@ -58,65 +87,42 @@ func BuildJob(aodID int, moves []MoveSpec, transferTime float64, moveTime func(d
 	// parking as a fixed small shift taking moveTime(parkDist).
 	const parkDist = 1.0 // µm: half the minimum AOD separation scale
 	maxDist := 0.0
-	rowID := 0
-	colID := 0
-	for yi, y := range ys {
-		row := byY[y]
-		sort.Slice(row, func(a, b int) bool { return row[a].From.X < row[b].From.X })
-		act := Activate{RowID: []int{rowID}, RowY: []float64{y}}
-		for _, m := range row {
-			act.ColID = append(act.ColID, colID)
-			act.ColX = append(act.ColX, m.From.X)
-			colID++
+	for lo, ri := 0, 0; lo < n; ri++ {
+		hi := lo + 1
+		for hi < n && sorted[hi].From.Y == sorted[lo].From.Y {
+			hi++
+		}
+		y := sorted[lo].From.Y
+		act := Activate{RowID: takeInts(1), RowY: takeFloats(1), ColID: takeInts(hi - lo), ColX: takeFloats(hi - lo)}
+		act.RowID[0], act.RowY[0] = ri, y
+		for k, m := range sorted[lo:hi] {
+			act.ColID[k] = lo + k
+			act.ColX[k] = m.From.X
 			if d := m.From.Dist(m.To); d > maxDist {
 				maxDist = d
 			}
+			begins[lo+k], ends[lo+k] = m.Begin, m.End
 		}
 		job.Insts = append(job.Insts, act)
+		job.BeginLocs = append(job.BeginLocs, begins[lo:hi:hi])
+		job.EndLocs = append(job.EndLocs, ends[lo:hi:hi])
 		timing.PickupDur += transferTime
-		var beginRow, endRow []QLoc
-		for _, m := range row {
-			beginRow = append(beginRow, m.Begin)
-			endRow = append(endRow, m.End)
-		}
-		job.BeginLocs = append(job.BeginLocs, beginRow)
-		job.EndLocs = append(job.EndLocs, endRow)
-		rowID++
-		if yi < len(ys)-1 {
+		if hi < n {
 			// Parking shift before the next activation.
 			timing.PickupDur += moveTime(parkDist)
 		}
+		// One parallel move sweeps every active row and column from begin
+		// to end, and one deactivate releases everything.
+		mv.RowID[ri], mv.RowYBegin[ri], mv.RowYEnd[ri] = ri, y, sorted[lo].To.Y
+		deact.RowID[ri] = ri
+		lo = hi
 	}
-
-	// One parallel move sweeping every active row/column from begin to end.
-	mv := Move{}
-	for ri, y := range ys {
-		row := byY[y]
-		mv.RowID = append(mv.RowID, ri)
-		mv.RowYBegin = append(mv.RowYBegin, y)
-		mv.RowYEnd = append(mv.RowYEnd, row[0].To.Y)
+	for c, m := range sorted {
+		mv.ColID[c], mv.ColXBegin[c], mv.ColXEnd[c] = c, m.From.X, m.To.X
+		deact.ColID[c] = c
 	}
-	ci := 0
-	for _, y := range ys {
-		for _, m := range byY[y] {
-			mv.ColID = append(mv.ColID, ci)
-			mv.ColXBegin = append(mv.ColXBegin, m.From.X)
-			mv.ColXEnd = append(mv.ColXEnd, m.To.X)
-			ci++
-		}
-	}
-	job.Insts = append(job.Insts, mv)
+	job.Insts = append(job.Insts, mv, deact)
 	timing.MoveDur = moveTime(maxDist)
-
-	// Drop: one deactivate releasing everything.
-	deact := Deactivate{}
-	for ri := range ys {
-		deact.RowID = append(deact.RowID, ri)
-	}
-	for c := 0; c < ci; c++ {
-		deact.ColID = append(deact.ColID, c)
-	}
-	job.Insts = append(job.Insts, deact)
 	timing.DropDur = transferTime
 
 	return job, timing

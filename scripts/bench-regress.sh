@@ -28,8 +28,8 @@
 #                        identical runs)
 #   BENCH_ALPHA          Mann-Whitney significance level (default 0.05)
 #   BENCH_MIN_DELTA_PCT  practical-significance floor in percent (default 3)
-#   PATTERN              go test -bench regexp (default: the placement and
-#                        scheduling kernels below)
+#   PATTERN              go test -bench regexp (default: the preprocessing,
+#                        placement and scheduling kernels below)
 #   PKGS                 packages holding them
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,8 +38,8 @@ REF="${1:-HEAD}"
 STORE="${BENCH_STORE:-.zac-benchstore}"
 REPS="${BENCH_REPS:-10}"
 BENCHTIME="${BENCHTIME:-200ms}"
-PATTERN="${PATTERN:-BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched}"
-PKGS="${PKGS:-./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule}"
+PATTERN="${PATTERN:-BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched|BenchmarkPreprocess}"
+PKGS="${PKGS:-./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule ./internal/resynth}"
 
 REF_SHA="$(git rev-parse --verify --quiet "$REF^{commit}")" || {
   echo "bench-regress: $REF is not a commit" >&2
