@@ -7,6 +7,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -163,7 +164,6 @@ func (c *Circuit) Validate() error {
 	if c.NumQubits <= 0 {
 		return fmt.Errorf("circuit %q: non-positive qubit count %d", c.Name, c.NumQubits)
 	}
-	seen := make([]int, c.NumQubits) // qubit → 1 + last gate using it
 	for i, g := range c.Gates {
 		if len(g.Qubits) != g.Kind.NumQubits() {
 			return fmt.Errorf("circuit %q gate %d (%s): wrong arity %d", c.Name, i, g.Kind, len(g.Qubits))
@@ -171,14 +171,13 @@ func (c *Circuit) Validate() error {
 		if len(g.Params) != g.Kind.NumParams() {
 			return fmt.Errorf("circuit %q gate %d (%s): wrong param count %d", c.Name, i, g.Kind, len(g.Params))
 		}
-		for _, q := range g.Qubits {
+		for k, q := range g.Qubits {
 			if q < 0 || q >= c.NumQubits {
 				return fmt.Errorf("circuit %q gate %d (%s): qubit %d out of range [0,%d)", c.Name, i, g.Kind, q, c.NumQubits)
 			}
-			if seen[q] == i+1 {
+			if slices.Contains(g.Qubits[:k], q) {
 				return fmt.Errorf("circuit %q gate %d (%s): duplicate qubit %d", c.Name, i, g.Kind, q)
 			}
-			seen[q] = i + 1
 		}
 	}
 	return nil
