@@ -76,7 +76,7 @@ func decompose(out *gateBuf, c *circuit.Circuit, keep map[circuit.Kind]bool) err
 // first pass can size the real one.
 type gateBuf struct {
 	c                     *circuit.Circuit // nil while counting
-	gates, qubits, params int              // counted or reserved totals
+	gates, qubits, params int              // totals seen while counting
 	qs                    []int
 	ps                    []float64
 }

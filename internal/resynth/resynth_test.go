@@ -41,6 +41,10 @@ func TestDecomposeOnlyNativeGates(t *testing.T) {
 			t.Fatalf("gate %d has non-native kind %s", i, g.Kind)
 		}
 	}
+	// The counting pass sizes the output exactly.
+	if len(d.Gates) != cap(d.Gates) {
+		t.Errorf("decomposed %d gates into a list of capacity %d", len(d.Gates), cap(d.Gates))
+	}
 }
 
 func TestDecomposeEquivalenceAllKinds(t *testing.T) {
