@@ -2,7 +2,8 @@
 // routed through the compiler registry and the pass pipeline must stay
 // byte-identical to the plans and programs pinned in
 // testdata/determinism.golden, and every registry compiler's output on the
-// 17 paper circuits is pinned in testdata/registry.golden. It lives in an
+// 17 paper circuits (plus forge-scale and restart rows for the ZAC family)
+// is pinned in testdata/registry.golden. It lives in an
 // external test package because internal/compiler imports core.
 package core_test
 
@@ -28,6 +29,10 @@ import (
 )
 
 const registryGoldenPath = "testdata/registry.golden"
+
+// restartCircuit is the paper circuit every ZAC preset also compiles with
+// four annealing restarts.
+const restartCircuit = "qft_n18"
 
 // forgeScaleSpecs mirror perfbench's forge-scale inputs (forgeSpecs in
 // perfbench/main.go): large circuits whose transitions exercise placement
@@ -80,8 +85,9 @@ func registryDigest(t *testing.T, r *core.Result) string {
 // TestRegistryMatchesGolden compiles the 17 paper circuits through every
 // registry compiler, shaped as `zac -out` and zac-serve shape it (the
 // compiler's target architecture, staging split to its StageSplitCap), and
-// the forge-scale specs through zac at Workers 1 and 2, split to site
-// capacity as `zac-bench -workload` and perfbench split them. On the golden
+// the forge-scale specs through zac and zac-advreuse at Workers 1 and 2,
+// split to site capacity as `zac-bench -workload` and perfbench split them,
+// and restartCircuit through every ZAC preset with SARestarts 4. On the golden
 // subset the zac compiler's plans and programs must match the hashes
 // TestGoldenDeterminism pins for core.CompileStaged, so the registry seam
 // cannot drift from the direct entry point; every compiler's program,
@@ -126,11 +132,6 @@ func TestRegistryMatchesGolden(t *testing.T) {
 			}
 		}
 	}
-	zc, err := compiler.Get("zac")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := compiler.TargetArch(zc)
 	for _, spec := range forgeScaleSpecs {
 		c, err := workload.Build(spec)
 		if err != nil {
@@ -140,14 +141,46 @@ func TestRegistryMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := circuit.SplitRydbergStages(staged, a.TotalSites())
-		for _, workers := range []int{1, 2} {
-			res, err := zc.Compile(context.Background(), in, a, compiler.Options{Workers: workers})
+		for _, cname := range []string{"zac", "zac-advreuse"} {
+			zc, err := compiler.Get(cname)
 			if err != nil {
-				t.Fatalf("zac/%s: %v", spec, err)
+				t.Fatal(err)
 			}
-			got[fmt.Sprintf("zac/%s/workers=%d", spec, workers)] = registryDigest(t, res)
+			a := compiler.TargetArch(zc)
+			in := circuit.SplitRydbergStages(staged, a.TotalSites())
+			for _, workers := range []int{1, 2} {
+				res, err := zc.Compile(context.Background(), in, a, compiler.Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", cname, spec, err)
+				}
+				got[fmt.Sprintf("%s/%s/workers=%d", cname, spec, workers)] = registryDigest(t, res)
+			}
 		}
+	}
+	// Restart racing: four annealing chains per ZAC preset on one paper
+	// circuit, shaped as the paper rows above.
+	restartBench, err := bench.ByName(restartCircuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restartCirc, err := resynth.Preprocess(restartBench.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cname := range compiler.Names() {
+		if _, zacFamily := compiler.Setting(cname); !zacFamily {
+			continue
+		}
+		c, err := compiler.Get(cname)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := circuit.SplitRydbergStages(restartCirc, compiler.StageSplitCap(c))
+		res, err := c.Compile(context.Background(), in, compiler.TargetArch(c), compiler.Options{SARestarts: 4})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", cname, restartCircuit, err)
+		}
+		got[fmt.Sprintf("%s/%s/sa_restarts=4", cname, restartCircuit)] = registryDigest(t, res)
 	}
 
 	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
