@@ -9,10 +9,12 @@ check: vet doclint build race
 vet:
 	$(GO) vet ./...
 
-# Documentation gate: every package needs a package doc comment, and every
-# exported identifier in the engine and serve packages needs its own.
+# Code-convention gate: every package needs a package doc comment, every
+# exported identifier in the engine and serve packages needs its own, and
+# every function must be reachable from non-test code (perfbench, its own
+# module, counts as a caller). Same arguments as CI's doclint step.
 doclint:
-	$(GO) run ./cmd/zac-doclint -exported internal/engine,internal/serve ./internal ./cmd ./examples
+	$(GO) run ./cmd/zac-doclint -exported internal/engine,internal/serve -unused -ref ./perfbench ./internal ./cmd ./examples
 
 build:
 	$(GO) build ./...

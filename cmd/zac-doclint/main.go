@@ -1,16 +1,24 @@
-// Command zac-doclint enforces the repo's documentation conventions as a CI
-// gate, using only go/ast (no external linters):
+// Command zac-doclint enforces the repo's code conventions as a CI gate,
+// using only the standard library's go/ast and go/types (no external
+// linters):
 //
 //   - every package under the given roots must carry a `// Package ...` doc
 //     comment on at least one of its files;
 //   - within the packages named by -exported, every exported top-level
 //     identifier (types, funcs, methods on exported receivers, consts,
-//     vars) must carry a doc comment.
+//     vars) must carry a doc comment;
+//   - with -unused, every function and method under the roots, exported or
+//     not, must be reachable from non-test code of its module or of a
+//     -ref root (see lintUnused). A deliberate seam that only tests or
+//     tooling call carries `//zac:keep <reason>` on its declaration.
 //
-// Findings print one per line as path: message; a non-zero exit fails CI.
+// Findings print one per line as path: message. Exit status 1 means
+// findings; 2 means a usage or I/O error, such as a root that does not
+// exist.
 //
 //	zac-doclint ./internal ./cmd ./examples
 //	zac-doclint -exported internal/engine,internal/serve ./internal
+//	zac-doclint -unused -ref ./perfbench ./internal ./cmd ./examples
 package main
 
 import (
@@ -19,76 +27,112 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 func main() {
-	exported := flag.String("exported", "",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints with the given command-line arguments, prints findings to
+// stdout, and returns the exit code: 0 clean, 1 findings, 2 usage or I/O
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("zac-doclint", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	exported := fl.String("exported", "",
 		"comma-separated directory prefixes whose exported identifiers must all carry doc comments")
-	flag.Parse()
-	roots := flag.Args()
+	unused := fl.Bool("unused", false,
+		"type-check the module and fail on functions and methods that no non-test code uses")
+	ref := fl.String("ref", "",
+		"comma-separated reference roots for -unused: their uses count, their code is not linted")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	roots := fl.Args()
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
 
-	var strict []string
-	if *exported != "" {
-		for _, p := range strings.Split(*exported, ",") {
-			strict = append(strict, filepath.Clean(strings.TrimSpace(p)))
+	strict := splitList(*exported)
+	var findings []string
+	for _, root := range roots {
+		dirs, err := goDirs(root)
+		if err != nil {
+			fmt.Fprintf(stderr, "zac-doclint: %v\n", err)
+			return 2
+		}
+		for _, dir := range dirs {
+			findings = append(findings, lintDir(dir, under(filepath.Clean(dir), strict))...)
 		}
 	}
-
-	dirs := map[string]bool{}
-	for _, root := range roots {
-		filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if de.IsDir() {
-				if name := de.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
-					return fs.SkipDir
-				}
-				return nil
-			}
-			if strings.HasSuffix(path, ".go") {
-				dirs[filepath.Dir(path)] = true
-			}
-			return nil
-		})
-	}
-
-	var findings []string
-	sorted := make([]string, 0, len(dirs))
-	for d := range dirs {
-		sorted = append(sorted, d)
-	}
-	sort.Strings(sorted)
-	for _, dir := range sorted {
-		findings = append(findings, lintDir(dir, isStrict(dir, strict))...)
+	if *unused {
+		found, err := lintUnused(roots, splitList(*ref))
+		if err != nil {
+			fmt.Fprintf(stderr, "zac-doclint: %v\n", err)
+			return 2
+		}
+		findings = append(findings, found...)
 	}
 
 	for _, f := range findings {
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "zac-doclint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "zac-doclint: %d finding(s)\n", len(findings))
+		return 1
 	}
+	return 0
 }
 
-// isStrict reports whether dir falls under one of the strict prefixes.
-func isStrict(dir string, strict []string) bool {
-	clean := filepath.Clean(dir)
-	for _, p := range strict {
-		if clean == p || strings.HasPrefix(clean, p+string(filepath.Separator)) {
+// goDirs lists, in walk order, the directories under root that hold Go
+// files, skipping testdata, hidden directories and nested modules.
+func goDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || !de.IsDir() {
+			return err
+		}
+		if path != root {
+			if name := de.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return fs.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return fs.SkipDir
+			}
+		}
+		if files, _ := filepath.Glob(filepath.Join(path, "*.go")); len(files) > 0 {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	return dirs, err
+}
+
+// under reports whether path lies in one of dirs (all clean, and all
+// absolute or all relative).
+func under(path string, dirs []string) bool {
+	for _, d := range dirs {
+		if path == d || strings.HasPrefix(path, d+string(filepath.Separator)) {
 			return true
 		}
 	}
 	return false
+}
+
+// splitList splits a comma-separated flag value into clean paths.
+func splitList(v string) []string {
+	var out []string
+	for _, p := range strings.Split(v, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, filepath.Clean(p))
+		}
+	}
+	return out
 }
 
 // lintDir checks one package directory. Test files are skipped entirely.

@@ -10,22 +10,14 @@ import (
 	"math/rand"
 )
 
-// Problem is the interface a state must implement to be annealed. Propose
-// mutates the state into a random neighbor and returns an undo function; Cost
-// returns the current objective value (lower is better).
-type Problem interface {
-	Cost() float64
-	Propose(r *rand.Rand) (undo func())
-}
-
-// DeltaProblem is a state that evaluates a proposal incrementally and
-// undoes it from a plain record instead of a closure. ProposeDelta mutates
-// the state into a random neighbour and returns the resulting total cost,
-// re-evaluating only the objective terms its move touched, plus a record
-// of the move; Undo reverts one. The engine undoes records in reverse
-// order of proposal, so Undo may read the state the move left. The cost
-// must be bit-identical to a full Cost() recomputation, so a delta state
-// anneals exactly as its Problem form with the same RNG would.
+// DeltaProblem is the interface a state must implement to be annealed.
+// Cost returns the current objective value (lower is better). ProposeDelta
+// mutates the state into a random neighbour and returns the resulting total
+// cost, re-evaluating only the objective terms its move touched, plus a
+// record of the move; Undo reverts one. The engine undoes records in
+// reverse order of proposal, so Undo may read the state the move left. The
+// cost must be bit-identical to a full Cost() recomputation, so a delta
+// state anneals exactly as a full recomputation with the same RNG would.
 type DeltaProblem[M any] interface {
 	Cost() float64
 	ProposeDelta(r *rand.Rand) (next float64, move M)
@@ -47,7 +39,7 @@ type Options struct {
 	Plateau int
 }
 
-// Result reports the outcome of a Run.
+// Result reports the outcome of a RunDelta.
 type Result struct {
 	InitialCost float64
 	BestCost    float64
@@ -55,24 +47,8 @@ type Result struct {
 	Accepted    int
 }
 
-// Run anneals p in place and leaves it in the best state visited. The caller
-// supplies the RNG for determinism.
-func Run(p Problem, opts Options, r *rand.Rand) Result {
-	return RunDelta[func()](closures{p}, opts, r)
-}
-
-// closures runs a Problem through the delta engine: its move record is the
-// undo closure Propose returns.
-type closures struct{ Problem }
-
-func (c closures) ProposeDelta(r *rand.Rand) (float64, func()) {
-	undo := c.Propose(r)
-	return c.Cost(), undo
-}
-
-func (closures) Undo(undo func()) { undo() }
-
-// RunDelta is Run for a DeltaProblem.
+// RunDelta anneals p in place and leaves it in the best state visited. The
+// caller supplies the RNG for determinism.
 func RunDelta[M any](p DeltaProblem[M], opts Options, r *rand.Rand) Result {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 1000

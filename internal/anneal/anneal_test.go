@@ -6,6 +6,28 @@ import (
 	"testing"
 )
 
+// closureProblem is a toy state whose Propose returns an undo closure.
+type closureProblem interface {
+	Cost() float64
+	Propose(r *rand.Rand) (undo func())
+}
+
+// undoClosures runs a closureProblem through RunDelta: the undo closure is
+// the move record.
+type undoClosures struct{ closureProblem }
+
+func (c undoClosures) ProposeDelta(r *rand.Rand) (float64, func()) {
+	undo := c.Propose(r)
+	return c.Cost(), undo
+}
+
+func (undoClosures) Undo(undo func()) { undo() }
+
+// run anneals a closureProblem through RunDelta.
+func run(p closureProblem, opts Options, r *rand.Rand) Result {
+	return RunDelta[func()](undoClosures{p}, opts, r)
+}
+
 // quadratic is a toy problem: minimize sum (x_i - target_i)^2 by nudging one
 // coordinate at a time.
 type quadratic struct {
@@ -31,7 +53,7 @@ func (q *quadratic) Propose(r *rand.Rand) func() {
 func TestRunImproves(t *testing.T) {
 	q := &quadratic{x: []float64{10, -7, 3}, target: []float64{0, 0, 0}}
 	r := rand.New(rand.NewSource(1))
-	res := Run(q, Options{Iterations: 5000}, r)
+	res := run(q, Options{Iterations: 5000}, r)
 	if res.BestCost >= res.InitialCost {
 		t.Fatalf("no improvement: initial %v best %v", res.InitialCost, res.BestCost)
 	}
@@ -45,12 +67,12 @@ func TestRunImproves(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	run := func() float64 {
+	best := func() float64 {
 		q := &quadratic{x: []float64{5, 5}, target: []float64{1, -1}}
 		r := rand.New(rand.NewSource(42))
-		return Run(q, Options{Iterations: 2000}, r).BestCost
+		return run(q, Options{Iterations: 2000}, r).BestCost
 	}
-	if a, b := run(), run(); a != b {
+	if a, b := best(), best(); a != b {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
 	}
 }
@@ -58,7 +80,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunDefaults(t *testing.T) {
 	q := &quadratic{x: []float64{3}, target: []float64{0}}
 	r := rand.New(rand.NewSource(2))
-	res := Run(q, Options{}, r)
+	res := run(q, Options{}, r)
 	if res.Iterations != 1000 {
 		t.Fatalf("default iterations = %d, want 1000", res.Iterations)
 	}
@@ -67,7 +89,7 @@ func TestRunDefaults(t *testing.T) {
 func TestRunPlateauStopsEarly(t *testing.T) {
 	q := &quadratic{x: []float64{0}, target: []float64{0}} // already optimal
 	r := rand.New(rand.NewSource(3))
-	res := Run(q, Options{Iterations: 10000, Plateau: 50}, r)
+	res := run(q, Options{Iterations: 10000, Plateau: 50}, r)
 	if res.Iterations >= 10000 {
 		t.Fatalf("plateau did not stop early: %d iterations", res.Iterations)
 	}
@@ -78,7 +100,7 @@ func TestRunNeverWorsens(t *testing.T) {
 		q := &quadratic{x: []float64{2, -3, 4, 1}, target: []float64{0, 1, 0, -1}}
 		init := q.Cost()
 		r := rand.New(rand.NewSource(seed))
-		res := Run(q, Options{Iterations: 300}, r)
+		res := run(q, Options{Iterations: 300}, r)
 		if res.BestCost > init+1e-12 {
 			t.Fatalf("seed %d: best %v worse than initial %v", seed, res.BestCost, init)
 		}
@@ -117,7 +139,7 @@ func TestRunPermutation(t *testing.T) {
 		p.pos[i] = float64(i)
 	}
 	r := rand.New(rand.NewSource(7))
-	res := Run(p, Options{Iterations: 20000}, r)
+	res := run(p, Options{Iterations: 20000}, r)
 	if res.BestCost > 2 {
 		t.Fatalf("permutation not sorted enough: cost %v (order %v)", res.BestCost, p.order)
 	}
@@ -173,8 +195,8 @@ func (q *deltaQuadratic) Undo(m nudge) {
 }
 
 // TestDeltaProblemMatchesFullRecompute runs the same seeded problem through
-// Run's Propose+Cost path and RunDelta's ProposeDelta path; trajectories,
-// results, and final states must match exactly.
+// a full Cost() recomputation after each Propose and through an incremental
+// ProposeDelta; trajectories, results, and final states must match exactly.
 func TestDeltaProblemMatchesFullRecompute(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		plain := &quadratic{x: []float64{10, -7, 3, 2}, target: []float64{0, 1, 0, -2}}
@@ -183,7 +205,7 @@ func TestDeltaProblemMatchesFullRecompute(t *testing.T) {
 			target: append([]float64(nil), plain.target...),
 		}}
 		incr.terms = make([]float64, len(incr.x))
-		resPlain := Run(plain, Options{Iterations: 2000}, rand.New(rand.NewSource(seed)))
+		resPlain := run(plain, Options{Iterations: 2000}, rand.New(rand.NewSource(seed)))
 		resIncr := RunDelta(incr, Options{Iterations: 2000}, rand.New(rand.NewSource(seed)))
 		if resPlain != resIncr {
 			t.Fatalf("seed %d: results diverge: %+v vs %+v", seed, resPlain, resIncr)

@@ -104,9 +104,6 @@ type Zone struct {
 	SLMs   []SLMArray
 }
 
-// Rect returns the zone's bounding rectangle.
-func (z Zone) Rect() geom.Rect { return geom.Rect{Min: z.Offset, Size: z.Dim} }
-
 // SiteRows and SiteCols give the Rydberg-site grid shape of an entanglement
 // zone (the common shape of its SLM arrays).
 func (z Zone) SiteRows() int {
@@ -165,7 +162,7 @@ type OperationFidelities struct {
 // Architecture is a complete zoned architecture (paper Fig. 3).
 //
 // Do not mutate an architecture after its first use. The first compile, or
-// the first call of an ordinal or topology method (TrapOrdinal, SiteAt,
+// the first call of an ordinal or topology method (TrapOrdinal, TrapAt,
 // StorageTrapsNearestFirst, ...), memoizes the dense topology tables on the
 // value, the first Fingerprint memoizes the fingerprint, and caches key
 // compiled results by it; none of them sees a later change. Build a new
@@ -307,19 +304,6 @@ func (a *Architecture) SiteTrapPos(s SiteRef, slot int) geom.Point {
 	return a.Entanglement[s.Zone].SiteTrapPos(s.Row, s.Col, slot)
 }
 
-// AllSites enumerates every Rydberg site in every entanglement zone.
-func (a *Architecture) AllSites() []SiteRef {
-	var sites []SiteRef
-	for zi, z := range a.Entanglement {
-		for r := 0; r < z.SiteRows(); r++ {
-			for c := 0; c < z.SiteCols(); c++ {
-				sites = append(sites, SiteRef{zi, r, c})
-			}
-		}
-	}
-	return sites
-}
-
 // NearestSite returns the Rydberg site (across all entanglement zones)
 // closest to p.
 func (a *Architecture) NearestSite(p geom.Point) SiteRef {
@@ -362,19 +346,4 @@ func (a *Architecture) NearestStorageTrap(p geom.Point) TrapRef {
 		}
 	}
 	return best
-}
-
-// AllStorageTraps enumerates every storage trap.
-func (a *Architecture) AllStorageTraps() []TrapRef {
-	var traps []TrapRef
-	for zi, z := range a.Storage {
-		for si, s := range z.SLMs {
-			for r := 0; r < s.Rows; r++ {
-				for c := 0; c < s.Cols; c++ {
-					traps = append(traps, TrapRef{zi, si, r, c})
-				}
-			}
-		}
-	}
-	return traps
 }

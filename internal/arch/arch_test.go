@@ -26,10 +26,10 @@ func TestReferenceGeometryMatchesPaper(t *testing.T) {
 	// Fig. 2b: site ω(0,0) left trap at (35, 307); right trap at (37, 307).
 	left := a.SiteTrapPos(SiteRef{0, 0, 0}, 0)
 	right := a.SiteTrapPos(SiteRef{0, 0, 0}, 1)
-	if !left.Eq(geom.Point{X: 35, Y: 307}, 1e-9) {
+	if left.Dist(geom.Point{X: 35, Y: 307}) > 1e-9 {
 		t.Errorf("left trap of ω00 = %v", left)
 	}
-	if !right.Eq(geom.Point{X: 37, Y: 307}, 1e-9) {
+	if right.Dist(geom.Point{X: 37, Y: 307}) > 1e-9 {
 		t.Errorf("right trap of ω00 = %v", right)
 	}
 	if d := left.Dist(right); math.Abs(d-DRyd) > 1e-9 {
@@ -47,7 +47,7 @@ func TestReferenceGeometryMatchesPaper(t *testing.T) {
 	// Storage trap s(r,c) at (3c, 3r); top row y = 297, 10µm below the
 	// entanglement zone (dsep).
 	top := a.TrapPos(TrapRef{0, 0, 99, 0})
-	if !top.Eq(geom.Point{X: 0, Y: 297}, 1e-9) {
+	if top.Dist(geom.Point{X: 0, Y: 297}) > 1e-9 {
 		t.Errorf("storage trap (99,0) = %v", top)
 	}
 }
@@ -55,7 +55,8 @@ func TestReferenceGeometryMatchesPaper(t *testing.T) {
 func TestNearestSite(t *testing.T) {
 	a := Reference()
 	// A point near site (0, 2) must resolve there.
-	p := a.SitePos(SiteRef{0, 0, 2}).Add(geom.Point{X: 1.2, Y: -0.7})
+	s := a.SitePos(SiteRef{0, 0, 2})
+	p := geom.Point{X: s.X + 1.2, Y: s.Y - 0.7}
 	if got := a.NearestSite(p); got != (SiteRef{0, 0, 2}) {
 		t.Errorf("NearestSite = %+v", got)
 	}
@@ -67,7 +68,8 @@ func TestNearestSite(t *testing.T) {
 
 func TestNearestStorageTrap(t *testing.T) {
 	a := Reference()
-	p := a.TrapPos(TrapRef{0, 0, 3, 4}).Add(geom.Point{X: 0.4, Y: 0.4})
+	tp := a.TrapPos(TrapRef{0, 0, 3, 4})
+	p := geom.Point{X: tp.X + 0.4, Y: tp.Y + 0.4}
 	if got := a.NearestStorageTrap(p); got != (TrapRef{0, 0, 3, 4}) {
 		t.Errorf("NearestStorageTrap = %+v", got)
 	}
@@ -75,10 +77,10 @@ func TestNearestStorageTrap(t *testing.T) {
 
 func TestAllSitesAndTraps(t *testing.T) {
 	a := Arch1Small()
-	if got := len(a.AllSites()); got != 60 {
+	if got := a.TotalSites(); got != 60 {
 		t.Errorf("Arch1Small sites = %d, want 60", got)
 	}
-	if got := len(a.AllStorageTraps()); got != 120 {
+	if got := a.TotalStorageTraps(); got != 120 {
 		t.Errorf("Arch1Small storage traps = %d, want 120", got)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // topology is the precomputed dense-index view of an architecture: every
-// storage trap and Rydberg site gets a small-integer ordinal, positions are
-// tabulated once, and the nearest-row-first storage ordering used by initial
+// storage trap and Rydberg site gets a small-integer ordinal, trap positions
+// are tabulated once, and the nearest-row-first storage ordering used by initial
 // placement is sorted a single time. The placement hot path indexes these
 // tables instead of recomputing geometry (or hashing TrapRef/SiteRef map
 // keys) on every call.
@@ -28,8 +28,6 @@ type topology struct {
 
 	siteCount int
 	siteBase  []int // [zone] → ordinal of site (0, 0)
-	siteRefs  []SiteRef
-	sitePos   []geom.Point
 	maxSlots  int
 
 	// nearestFirst is the storage-trap ordering of TrivialInitial (§VII-D):
@@ -127,18 +125,6 @@ func buildTopology(a *Architecture) *topology {
 			t.maxSlots = n
 		}
 	}
-	t.siteRefs = make([]SiteRef, 0, t.siteCount)
-	t.sitePos = make([]geom.Point, 0, t.siteCount)
-	for zi, z := range a.Entanglement {
-		for r := 0; r < z.SiteRows(); r++ {
-			for c := 0; c < z.SiteCols(); c++ {
-				ref := SiteRef{Zone: zi, Row: r, Col: c}
-				t.siteRefs = append(t.siteRefs, ref)
-				t.sitePos = append(t.sitePos, a.SitePos(ref))
-			}
-		}
-	}
-
 	if len(a.Entanglement) > 0 {
 		entY := a.Entanglement[0].Offset.Y
 		traps := append([]TrapRef(nil), t.trapRefs...)
@@ -182,13 +168,6 @@ func (a *Architecture) SiteCount() int { return a.topo().siteCount }
 func (a *Architecture) SiteOrdinal(s SiteRef) int {
 	return a.topo().siteBase[s.Zone] + s.Row*a.Entanglement[s.Zone].SiteCols() + s.Col
 }
-
-// SiteAt is the inverse of SiteOrdinal.
-func (a *Architecture) SiteAt(ord int) SiteRef { return a.topo().siteRefs[ord] }
-
-// SitePosAt returns the precomputed reference position of the site with the
-// given ordinal (identical bits to SitePos of the same site).
-func (a *Architecture) SitePosAt(ord int) geom.Point { return a.topo().sitePos[ord] }
 
 // MaxSiteSlots returns the largest trap count of any Rydberg site (0 with no
 // entanglement zones).

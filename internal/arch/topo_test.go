@@ -19,14 +19,29 @@ func checkTopology(t *testing.T, label string, a *Architecture) {
 	if a.TrapCount() != a.TotalStorageTraps() || a.SiteCount() != a.TotalSites() {
 		t.Fatalf("%s: counts %d/%d, want %d/%d", label, a.TrapCount(), a.SiteCount(), a.TotalStorageTraps(), a.TotalSites())
 	}
-	for i, tr := range a.AllStorageTraps() {
-		if a.TrapOrdinal(tr) != i || a.TrapAt(i) != tr || a.TrapPosAt(i) != a.TrapPos(tr) {
-			t.Fatalf("%s: trap %+v does not round-trip through ordinal %d", label, tr, i)
+	i := 0
+	for zi, z := range a.Storage {
+		for si, s := range z.SLMs {
+			for r := 0; r < s.Rows; r++ {
+				for c := 0; c < s.Cols; c++ {
+					tr := TrapRef{Zone: zi, SLM: si, Row: r, Col: c}
+					if a.TrapOrdinal(tr) != i || a.TrapAt(i) != tr || a.TrapPosAt(i) != a.TrapPos(tr) {
+						t.Fatalf("%s: trap %+v does not round-trip through ordinal %d", label, tr, i)
+					}
+					i++
+				}
+			}
 		}
 	}
-	for i, s := range a.AllSites() {
-		if a.SiteOrdinal(s) != i || a.SiteAt(i) != s || a.SitePosAt(i) != a.SitePos(s) {
-			t.Fatalf("%s: site %+v does not round-trip through ordinal %d", label, s, i)
+	i = 0
+	for zi, z := range a.Entanglement {
+		for r := 0; r < z.SiteRows(); r++ {
+			for c := 0; c < z.SiteCols(); c++ {
+				if s := (SiteRef{Zone: zi, Row: r, Col: c}); a.SiteOrdinal(s) != i {
+					t.Fatalf("%s: site %+v has ordinal %d, want %d", label, s, a.SiteOrdinal(s), i)
+				}
+				i++
+			}
 		}
 	}
 }

@@ -82,9 +82,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // shard returns the JSONL path holding one machine's records.
 func (s *Store) shard(machineID string) string {
 	return filepath.Join(s.dir, machineID+".jsonl")

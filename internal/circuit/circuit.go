@@ -115,9 +115,6 @@ func NewGate(k Kind, qubits []int, params ...float64) Gate {
 	return Gate{Kind: k, Qubits: append([]int(nil), qubits...), Params: append([]float64(nil), params...)}
 }
 
-// Is2Q reports whether the gate acts on exactly two qubits.
-func (g Gate) Is2Q() bool { return len(g.Qubits) == 2 }
-
 // String renders the gate in QASM-ish syntax.
 func (g Gate) String() string {
 	var b strings.Builder
@@ -183,23 +180,6 @@ func (c *Circuit) Validate() error {
 	return nil
 }
 
-// CountByArity returns the number of 1Q and 2Q+ gates (Measure/Barrier are
-// not counted).
-func (c *Circuit) CountByArity() (oneQ, multiQ int) {
-	for _, g := range c.Gates {
-		switch g.Kind {
-		case Measure, Barrier:
-			continue
-		}
-		if len(g.Qubits) == 1 {
-			oneQ++
-		} else {
-			multiQ++
-		}
-	}
-	return oneQ, multiQ
-}
-
 // Clone deep-copies the circuit.
 func (c *Circuit) Clone() *Circuit {
 	out := &Circuit{Name: c.Name, NumQubits: c.NumQubits, Gates: make([]Gate, len(c.Gates))}
@@ -211,50 +191,4 @@ func (c *Circuit) Clone() *Circuit {
 		}
 	}
 	return out
-}
-
-// TwoQubitEdges returns the distinct unordered qubit pairs that appear in 2Q
-// gates, useful for interaction-graph analyses.
-func (c *Circuit) TwoQubitEdges() [][2]int {
-	seen := map[[2]int]bool{}
-	var edges [][2]int
-	for _, g := range c.Gates {
-		if !g.Is2Q() {
-			continue
-		}
-		a, b := g.Qubits[0], g.Qubits[1]
-		if a > b {
-			a, b = b, a
-		}
-		k := [2]int{a, b}
-		if !seen[k] {
-			seen[k] = true
-			edges = append(edges, k)
-		}
-	}
-	return edges
-}
-
-// Depth returns the circuit depth counting every gate as one time step.
-func (c *Circuit) Depth() int {
-	level := make([]int, c.NumQubits)
-	depth := 0
-	for _, g := range c.Gates {
-		if g.Kind == Barrier || g.Kind == Measure {
-			continue
-		}
-		max := 0
-		for _, q := range g.Qubits {
-			if level[q] > max {
-				max = level[q]
-			}
-		}
-		for _, q := range g.Qubits {
-			level[q] = max + 1
-		}
-		if max+1 > depth {
-			depth = max + 1
-		}
-	}
-	return depth
 }

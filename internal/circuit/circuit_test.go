@@ -80,7 +80,7 @@ func TestCountByArity(t *testing.T) {
 	c.Append(CX, []int{0, 1})
 	c.Append(CCX, []int{0, 1, 2})
 	c.Append(Measure, []int{0})
-	one, multi := c.CountByArity()
+	one, multi := countByArity(c)
 	if one != 1 || multi != 2 {
 		t.Errorf("counts = (%d,%d), want (1,2)", one, multi)
 	}
@@ -102,7 +102,7 @@ func TestTwoQubitEdges(t *testing.T) {
 	c.Append(CX, []int{0, 1})
 	c.Append(CX, []int{1, 0}) // same unordered pair
 	c.Append(CZ, []int{2, 3})
-	edges := c.TwoQubitEdges()
+	edges := twoQubitEdges(c)
 	if len(edges) != 2 {
 		t.Fatalf("edges = %v, want 2 distinct", edges)
 	}
@@ -114,7 +114,7 @@ func TestDepth(t *testing.T) {
 	c.Append(H, []int{1}) // parallel with above
 	c.Append(CX, []int{0, 1})
 	c.Append(H, []int{2}) // parallel with everything
-	if got := c.Depth(); got != 2 {
+	if got := depth(c); got != 2 {
 		t.Errorf("Depth = %d, want 2", got)
 	}
 }
@@ -127,68 +127,6 @@ func TestGateString(t *testing.T) {
 	g2 := NewGate(CX, []int{0, 1})
 	if !strings.Contains(g2.String(), "cx q[0],q[1]") {
 		t.Errorf("String = %q", g2.String())
-	}
-}
-
-func TestDependencies(t *testing.T) {
-	c := New("c", 3)
-	c.Append(H, []int{0})     // 0
-	c.Append(CX, []int{0, 1}) // 1 deps on 0
-	c.Append(H, []int{2})     // 2 no deps
-	c.Append(CX, []int{1, 2}) // 3 deps on 1, 2
-	deps := Dependencies(c)
-	if len(deps[0]) != 0 || len(deps[2]) != 0 {
-		t.Error("unexpected deps for independent gates")
-	}
-	if len(deps[1]) != 1 || deps[1][0] != 0 {
-		t.Errorf("deps[1] = %v", deps[1])
-	}
-	if len(deps[3]) != 2 {
-		t.Errorf("deps[3] = %v", deps[3])
-	}
-}
-
-func TestDependenciesBarrier(t *testing.T) {
-	c := New("c", 2)
-	c.Append(H, []int{0})
-	c.Gates = append(c.Gates, Gate{Kind: Barrier, Qubits: []int{0}})
-	c.Append(H, []int{1}) // after barrier, depends on it
-	deps := Dependencies(c)
-	if len(deps[2]) != 1 || deps[2][0] != 1 {
-		t.Errorf("gate after barrier should depend on it: %v", deps[2])
-	}
-}
-
-func TestASAPLevels(t *testing.T) {
-	c := New("c", 3)
-	c.Append(H, []int{0})     // level 0
-	c.Append(CX, []int{0, 1}) // level 1
-	c.Append(H, []int{2})     // level 0
-	c.Append(CX, []int{1, 2}) // level 2
-	lv := ASAPLevels(c)
-	want := []int{0, 1, 0, 2}
-	for i := range want {
-		if lv[i] != want[i] {
-			t.Errorf("level[%d] = %d, want %d", i, lv[i], want[i])
-		}
-	}
-}
-
-func TestRespectsDependencies(t *testing.T) {
-	c := New("c", 2)
-	c.Append(H, []int{0})
-	c.Append(CX, []int{0, 1})
-	if !RespectsDependencies(c, []int{0, 1}) {
-		t.Error("valid order rejected")
-	}
-	if RespectsDependencies(c, []int{1, 0}) {
-		t.Error("invalid order accepted")
-	}
-	if RespectsDependencies(c, []int{0}) {
-		t.Error("wrong length accepted")
-	}
-	if RespectsDependencies(c, []int{0, 0}) {
-		t.Error("duplicate accepted")
 	}
 }
 
@@ -237,8 +175,79 @@ func TestStagedFlatten(t *testing.T) {
 
 func TestStageQubits(t *testing.T) {
 	st := Stage{Kind: RydbergStage, Gates: []Gate{NewGate(CZ, []int{0, 1}), NewGate(CZ, []int{4, 2})}}
-	qs := st.Qubits()
+	qs := stageQubits(st)
 	if len(qs) != 4 || qs[0] != 0 || qs[3] != 2 {
 		t.Errorf("Qubits = %v", qs)
 	}
+}
+
+// The helpers below are test fixtures: the compiler itself never counts
+// gates by arity, lists interaction edges or measures depth this way.
+
+// countByArity returns the number of 1Q and 2Q+ gates (Measure/Barrier are
+// not counted).
+func countByArity(c *Circuit) (oneQ, multiQ int) {
+	for _, g := range c.Gates {
+		switch g.Kind {
+		case Measure, Barrier:
+			continue
+		}
+		if len(g.Qubits) == 1 {
+			oneQ++
+		} else {
+			multiQ++
+		}
+	}
+	return oneQ, multiQ
+}
+
+// twoQubitEdges returns the distinct unordered qubit pairs that appear in 2Q
+// gates, useful for interaction-graph analyses.
+func twoQubitEdges(c *Circuit) [][2]int {
+	seen := map[[2]int]bool{}
+	var edges [][2]int
+	for _, g := range c.Gates {
+		if len(g.Qubits) != 2 {
+			continue
+		}
+		a, b := g.Qubits[0], g.Qubits[1]
+		if a > b {
+			a, b = b, a
+		}
+		k := [2]int{a, b}
+		if !seen[k] {
+			seen[k] = true
+			edges = append(edges, k)
+		}
+	}
+	return edges
+}
+
+// depth returns the circuit depth counting every gate as one time step.
+func depth(c *Circuit) int {
+	level := make([]int, c.NumQubits)
+	d := 0
+	for _, g := range c.Gates {
+		if g.Kind == Barrier || g.Kind == Measure {
+			continue
+		}
+		lv := 0
+		for _, q := range g.Qubits {
+			lv = max(lv, level[q])
+		}
+		for _, q := range g.Qubits {
+			level[q] = lv + 1
+		}
+		d = max(d, lv+1)
+	}
+	return d
+}
+
+// stageQubits returns every qubit touched by the stage, in gate order.
+func stageQubits(s Stage) []int {
+	var qs []int
+	for _, g := range s.Gates {
+		qs = append(qs, g.Qubits...)
+	}
+	return qs
 }

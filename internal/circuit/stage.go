@@ -28,15 +28,6 @@ type Stage struct {
 	Gates []Gate
 }
 
-// Qubits returns every qubit touched by the stage, in gate order.
-func (s Stage) Qubits() []int {
-	var qs []int
-	for _, g := range s.Gates {
-		qs = append(qs, g.Qubits...)
-	}
-	return qs
-}
-
 // Staged is the output of preprocessing: a {CZ,U3} circuit partitioned into
 // alternating stages such that each qubit is involved in at most one gate per
 // stage.

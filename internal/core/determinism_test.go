@@ -62,7 +62,7 @@ func hashProgram(t *testing.T, r *Result) string {
 }
 
 // collectDeterminismHashes compiles the golden corpus and returns a stable
-// key→hash map covering SAInitial, BuildPlan, and the final ZAIR program.
+// key→hash map covering SAInitialWithCost, BuildPlan, and the final ZAIR program.
 func collectDeterminismHashes(t *testing.T) map[string]string {
 	t.Helper()
 	a := arch.Reference()
@@ -79,7 +79,7 @@ func collectDeterminismHashes(t *testing.T) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sa, err := place.SAInitial(a, staged, 1000, rand.New(rand.NewSource(1)))
+		sa, _, err := place.SAInitialWithCost(a, staged, 1000, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ type Pass struct {
 
 // Pipeline is an ordered chain of named passes over a shared PassState,
 // instrumented with per-pass wall-clock timings and cancellable between
-// passes (and, through BuildPlan and schedule.Build, within the expensive
+// passes (and, through BuildPlan and schedule.BuildWithOptions, within the expensive
 // ones).
 type Pipeline struct {
 	passes []Pass

@@ -76,16 +76,6 @@ func (s *Set) Has(feature string) bool {
 	return s.counts[feature] > 0
 }
 
-// Len returns the number of distinct features hit.
-func (s *Set) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.counts)
-}
-
 // Merge adds every count of other into s (other may be nil).
 func (s *Set) Merge(other map[string]uint64) {
 	if s == nil {

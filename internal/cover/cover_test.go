@@ -10,7 +10,7 @@ func TestNilSetIsSafe(t *testing.T) {
 	var s *Set
 	s.Hit("x")
 	s.Merge(map[string]uint64{"y": 1})
-	if s.Counts() != nil || s.Features() != nil || s.Has("x") || s.Len() != 0 {
+	if s.Counts() != nil || s.Features() != nil || s.Has("x") {
 		t.Error("nil Set must observe nothing")
 	}
 	if d := s.Diff(NewSet()); d != nil {
@@ -34,7 +34,7 @@ func TestHitCountsAndDiff(t *testing.T) {
 		t.Errorf("Diff = %v, want [c d]", d)
 	}
 	base.Merge(next.Counts())
-	if !base.Has("c") || base.Len() != 4 {
+	if !base.Has("c") || len(base.Counts()) != 4 {
 		t.Errorf("merge lost features: %v", base.Features())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -39,25 +38,4 @@ func writeRepro(dir string, d Divergence) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// ReadCorpus lists the .qasm repro files of a corpus directory in sorted
-// order. A missing directory is an empty corpus, not an error.
-func ReadCorpus(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".qasm") {
-			continue
-		}
-		out = append(out, filepath.Join(dir, e.Name()))
-	}
-	sort.Strings(out)
-	return out, nil
 }

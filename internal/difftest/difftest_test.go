@@ -76,15 +76,15 @@ func TestWriteAndReadCorpus(t *testing.T) {
 	if p2 != p {
 		t.Errorf("re-writing the same repro changed the path: %q vs %q", p2, p)
 	}
-	paths, err := ReadCorpus(dir)
+	paths, err := readCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 1 || paths[0] != p {
-		t.Errorf("ReadCorpus = %v, want [%s]", paths, p)
+		t.Errorf("readCorpus = %v, want [%s]", paths, p)
 	}
 	// A missing directory is an empty corpus.
-	none, err := ReadCorpus(filepath.Join(dir, "absent"))
+	none, err := readCorpus(filepath.Join(dir, "absent"))
 	if err != nil || none != nil {
 		t.Errorf("missing dir: %v, %v", none, err)
 	}

@@ -20,7 +20,15 @@ func TestOracleCleanOnSmokeSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range workload.SmokeSpecs() {
-		divs, err := o.CheckSpec(context.Background(), spec)
+		parsed, err := workload.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := parsed.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		divs, err := o.Check(context.Background(), c, parsed.Canonical())
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}

@@ -127,20 +127,6 @@ func (o *Oracle) Compilers() []string {
 	return out
 }
 
-// CheckSpec generates the spec's circuit and cross-checks it. Spec parse
-// and generation problems are harness errors, not divergences.
-func (o *Oracle) CheckSpec(ctx context.Context, spec string) ([]Divergence, error) {
-	parsed, err := workload.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	c, err := parsed.Generate()
-	if err != nil {
-		return nil, err
-	}
-	return o.Check(ctx, c, parsed.Canonical())
-}
-
 // outcome is one compilation attempt's observable result.
 type outcome struct {
 	res  *compileResult

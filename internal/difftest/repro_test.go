@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,6 +19,27 @@ import (
 // shrinker's output shape and guards the real compilers against ever
 // reintroducing a divergence on these exact inputs.
 const reproDir = "testdata/repros"
+
+// readCorpus lists the .qasm repro files of a corpus directory in sorted
+// order. A missing directory is an empty corpus, not an error.
+func readCorpus(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".qasm") {
+			continue
+		}
+		out = append(out, filepath.Join(dir, e.Name()))
+	}
+	sort.Strings(out)
+	return out, nil
+}
 
 // TestRegenerateReproCorpus rebuilds testdata/repros from the seeded
 // violation stubs. Gated behind an env var because it rewrites checked-in
@@ -81,7 +103,7 @@ func TestRegenerateReproCorpus(t *testing.T) {
 			t.Fatalf("%s: recipe produced no divergence", r.label)
 		}
 	}
-	paths, err := ReadCorpus(reproDir)
+	paths, err := readCorpus(reproDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +118,7 @@ func TestReproCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the corpus through the whole registry; skipped in -short")
 	}
-	paths, err := ReadCorpus(reproDir)
+	paths, err := readCorpus(reproDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +163,7 @@ func TestReproCorpus(t *testing.T) {
 // zac ablation family. Seeded from the repro corpus plus a pinned spec.
 // Run with `go test -fuzz=FuzzDiff ./internal/difftest`.
 func FuzzDiff(f *testing.F) {
-	paths, err := ReadCorpus(reproDir)
+	paths, err := readCorpus(reproDir)
 	if err != nil {
 		f.Fatal(err)
 	}

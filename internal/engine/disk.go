@@ -174,6 +174,8 @@ func OpenDiskCacheFS(dir string, maxBytes int64, fsys FS) (*DiskCache, error) {
 // SetRetryPolicy replaces the retry/breaker configuration (zero fields keep
 // their defaults). Call before the cache sees traffic; it is not
 // synchronized with in-flight operations.
+//
+//zac:keep test seam: chaos tests shorten the disk breaker's retries and backoff
 func (d *DiskCache) SetRetryPolicy(p RetryPolicy) { d.policy = p.withDefaults() }
 
 // Dir returns the cache's root directory.

@@ -51,14 +51,6 @@ func (l *LRU) Put(key string, val any) {
 	}
 }
 
-// Remove deletes key if present.
-func (l *LRU) Remove(key string) {
-	if e, ok := l.items[key]; ok {
-		l.ll.Remove(e)
-		delete(l.items, key)
-	}
-}
-
 // Len returns the number of resident entries.
 func (l *LRU) Len() int { return l.ll.Len() }
 

@@ -360,12 +360,6 @@ func GetTiered[T any](t *Tiered, key string, codec *Codec, compute func() (T, er
 	return v.(T), nil
 }
 
-// GetTieredCtx is the typed wrapper over DoCtx.
-func GetTieredCtx[T any](t *Tiered, ctx context.Context, key string, codec *Codec, compute func(ctx context.Context) (T, error)) (T, error) {
-	v, _, err := GetTieredCtxTier(t, ctx, key, codec, compute)
-	return v, err
-}
-
 // GetTieredCtxTier is the typed wrapper over DoCtxTier.
 func GetTieredCtxTier[T any](t *Tiered, ctx context.Context, key string, codec *Codec, compute func(ctx context.Context) (T, error)) (T, Tier, error) {
 	v, tier, err := t.DoCtxTier(ctx, key, codec, func(ctx context.Context) (any, error) { return compute(ctx) })

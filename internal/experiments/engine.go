@@ -8,8 +8,8 @@ import (
 )
 
 // Config controls how an experiment executes. The zero value runs fully
-// parallel (one worker per CPU) with the compilation cache enabled; use
-// Sequential() for a one-worker run. The result rows are identical for
+// parallel (one worker per CPU) with the compilation cache enabled;
+// Parallel 1 runs on one worker. The result rows are identical for
 // every worker count because the engine assembles them by input index, not
 // arrival order.
 type Config struct {
@@ -34,10 +34,6 @@ type Config struct {
 	// cache key.
 	Workers int
 }
-
-// Sequential is the Config matching the pre-engine harness: one worker,
-// cache enabled.
-func Sequential() Config { return Config{Parallel: 1} }
 
 func (c Config) progressf(format string, args ...any) {
 	if c.Progress != nil {
@@ -65,6 +61,8 @@ func cached[T any](cfg Config, key string, compute func() (T, error)) (T, error)
 
 // ResetCache drops every cached compilation. Benchmarks call it to measure
 // cold-cache behavior; servers can call it to bound memory.
+//
+//zac:keep the suite benchmarks in bench_test.go start every iteration cold
 func ResetCache() { compileCache.Reset() }
 
 // CacheStats reports the compilation cache's hit/miss counters.

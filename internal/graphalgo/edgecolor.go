@@ -1,8 +1,8 @@
 // Package graphalgo implements the graph algorithms the compiler stack needs:
 // Misra–Gries edge coloring (used by the Enola baseline to schedule entangling
-// gates into a near-optimal number of Rydberg stages), a greedy fallback
-// coloring, and greedy maximal independent sets (used to group compatible
-// qubit movements into rearrangement jobs, paper §VI).
+// gates into a near-optimal number of Rydberg stages) and greedy maximal
+// independent sets (used to group compatible qubit movements into
+// rearrangement jobs, paper §VI).
 package graphalgo
 
 // Edge is an undirected edge between vertices U and V.
@@ -189,26 +189,6 @@ func MisraGries(n int, edges []Edge) []int {
 	return color
 }
 
-// GreedyEdgeColoring colors edges greedily in the given order with the lowest
-// color not used at either endpoint. It uses at most 2Δ−1 colors.
-func GreedyEdgeColoring(n int, edges []Edge) []int {
-	used := make([]map[int]bool, n)
-	for v := range used {
-		used[v] = make(map[int]bool)
-	}
-	colors := make([]int, len(edges))
-	for i, e := range edges {
-		c := 0
-		for used[e.U][c] || used[e.V][c] {
-			c++
-		}
-		colors[i] = c
-		used[e.U][c] = true
-		used[e.V][c] = true
-	}
-	return colors
-}
-
 // NumColors returns 1 + max(colors), or 0 for an empty slice.
 func NumColors(colors []int) int {
 	max := -1
@@ -218,26 +198,4 @@ func NumColors(colors []int) int {
 		}
 	}
 	return max + 1
-}
-
-// ValidEdgeColoring reports whether no two edges sharing a vertex have the
-// same color.
-func ValidEdgeColoring(n int, edges []Edge, colors []int) bool {
-	if len(colors) != len(edges) {
-		return false
-	}
-	seen := make(map[[2]int]bool) // (vertex, color)
-	for i, e := range edges {
-		c := colors[i]
-		if c < 0 {
-			return false
-		}
-		ku, kv := [2]int{e.U, c}, [2]int{e.V, c}
-		if seen[ku] || seen[kv] {
-			return false
-		}
-		seen[ku] = true
-		seen[kv] = true
-	}
-	return true
 }

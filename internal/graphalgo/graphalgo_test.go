@@ -40,7 +40,7 @@ func TestMisraGriesValidAndTight(t *testing.T) {
 		n := 2 + r.Intn(14)
 		edges := randomGraph(r, n, 0.4)
 		colors := MisraGries(n, edges)
-		if !ValidEdgeColoring(n, edges, colors) {
+		if !validEdgeColoring(n, edges, colors) {
 			t.Fatalf("iter %d: invalid coloring for n=%d edges=%v colors=%v", iter, n, edges, colors)
 		}
 		if nc, bound := NumColors(colors), maxDegree(n, edges)+1; nc > bound {
@@ -53,7 +53,7 @@ func TestMisraGriesStructured(t *testing.T) {
 	// Path graph: Δ=2, chromatic index 2.
 	path := []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}}
 	colors := MisraGries(5, path)
-	if !ValidEdgeColoring(5, path, colors) {
+	if !validEdgeColoring(5, path, colors) {
 		t.Fatal("invalid path coloring")
 	}
 	if NumColors(colors) > 3 {
@@ -62,13 +62,13 @@ func TestMisraGriesStructured(t *testing.T) {
 	// Star K1,5: Δ=5, needs exactly 5.
 	star := []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}
 	colors = MisraGries(6, star)
-	if !ValidEdgeColoring(6, star, colors) || NumColors(colors) != 5 {
+	if !validEdgeColoring(6, star, colors) || NumColors(colors) != 5 {
 		t.Fatalf("star coloring wrong: %v", colors)
 	}
 	// Odd cycle C5: Δ=2 but chromatic index 3.
 	c5 := []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}
 	colors = MisraGries(5, c5)
-	if !ValidEdgeColoring(5, c5, colors) || NumColors(colors) > 3 {
+	if !validEdgeColoring(5, c5, colors) || NumColors(colors) > 3 {
 		t.Fatalf("C5 coloring wrong: %v", colors)
 	}
 }
@@ -84,8 +84,8 @@ func TestGreedyEdgeColoring(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		n := 2 + r.Intn(12)
 		edges := randomGraph(r, n, 0.5)
-		colors := GreedyEdgeColoring(n, edges)
-		if !ValidEdgeColoring(n, edges, colors) {
+		colors := greedyEdgeColoring(n, edges)
+		if !validEdgeColoring(n, edges, colors) {
 			t.Fatalf("iter %d: invalid greedy coloring", iter)
 		}
 		if nc, bound := NumColors(colors), 2*maxDegree(n, edges)-1; len(edges) > 0 && nc > bound {
@@ -96,16 +96,16 @@ func TestGreedyEdgeColoring(t *testing.T) {
 
 func TestValidEdgeColoringRejects(t *testing.T) {
 	edges := []Edge{{0, 1}, {1, 2}}
-	if ValidEdgeColoring(3, edges, []int{0, 0}) {
+	if validEdgeColoring(3, edges, []int{0, 0}) {
 		t.Error("shared vertex same color must be invalid")
 	}
-	if ValidEdgeColoring(3, edges, []int{0}) {
+	if validEdgeColoring(3, edges, []int{0}) {
 		t.Error("wrong length must be invalid")
 	}
-	if ValidEdgeColoring(3, edges, []int{0, -1}) {
+	if validEdgeColoring(3, edges, []int{0, -1}) {
 		t.Error("negative color must be invalid")
 	}
-	if !ValidEdgeColoring(3, edges, []int{0, 1}) {
+	if !validEdgeColoring(3, edges, []int{0, 1}) {
 		t.Error("proper coloring rejected")
 	}
 }
@@ -287,7 +287,7 @@ func TestMaximalIndependentSet(t *testing.T) {
 		n := 1 + r.Intn(15)
 		adj := randomAdj(r, n, 0.3)
 		set := PartitionIntoIndependentSets(n, bitMatrix(n, adj))[0]
-		if !IsMaximalIndependent(n, adj, set) {
+		if !isMaximalIndependent(n, adj, set) {
 			t.Fatalf("iter %d: set %v not maximal independent, adj=%v", iter, set, adj)
 		}
 		if want := referenceMIS(n, adj); !slices.Equal(set, want) {
@@ -372,7 +372,7 @@ func TestPartitionIntoIndependentSets(t *testing.T) {
 		covered := make([]bool, n)
 		total := 0
 		for _, g := range groups {
-			if !IsIndependent(adj, g) {
+			if !isIndependent(adj, g) {
 				t.Fatalf("iter %d: group %v not independent", iter, g)
 			}
 			for _, v := range g {
@@ -428,4 +428,90 @@ func BenchmarkPartitionIntoIndependentSets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		partitionSink = PartitionIntoIndependentSets(n, conflict)
 	}
+}
+
+// greedyEdgeColoring colors edges greedily in the given order with the lowest
+// color not used at either endpoint. It uses at most 2Δ−1 colors.
+func greedyEdgeColoring(n int, edges []Edge) []int {
+	used := make([]map[int]bool, n)
+	for v := range used {
+		used[v] = make(map[int]bool)
+	}
+	colors := make([]int, len(edges))
+	for i, e := range edges {
+		c := 0
+		for used[e.U][c] || used[e.V][c] {
+			c++
+		}
+		colors[i] = c
+		used[e.U][c] = true
+		used[e.V][c] = true
+	}
+	return colors
+}
+
+// validEdgeColoring reports whether no two edges sharing a vertex have the
+// same color.
+func validEdgeColoring(n int, edges []Edge, colors []int) bool {
+	if len(colors) != len(edges) {
+		return false
+	}
+	seen := make(map[[2]int]bool) // (vertex, color)
+	for i, e := range edges {
+		c := colors[i]
+		if c < 0 {
+			return false
+		}
+		ku, kv := [2]int{e.U, c}, [2]int{e.V, c}
+		if seen[ku] || seen[kv] {
+			return false
+		}
+		seen[ku] = true
+		seen[kv] = true
+	}
+	return true
+}
+
+// isIndependent reports whether set is an independent set of adj.
+func isIndependent(adj [][]int, set []int) bool {
+	in := make(map[int]bool, len(set))
+	for _, v := range set {
+		in[v] = true
+	}
+	for _, v := range set {
+		for _, w := range adj[v] {
+			if in[w] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// isMaximalIndependent reports whether set is independent and no vertex can
+// be added without breaking independence.
+func isMaximalIndependent(n int, adj [][]int, set []int) bool {
+	if !isIndependent(adj, set) {
+		return false
+	}
+	in := make(map[int]bool, len(set))
+	for _, v := range set {
+		in[v] = true
+	}
+	for v := 0; v < n; v++ {
+		if in[v] {
+			continue
+		}
+		conflict := false
+		for _, w := range adj[v] {
+			if in[w] {
+				conflict = true
+				break
+			}
+		}
+		if !conflict {
+			return false
+		}
+	}
+	return true
 }

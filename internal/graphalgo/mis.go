@@ -87,47 +87,3 @@ func PartitionIntoIndependentSets(n int, conflict []uint64) [][]int {
 	}
 	return groups
 }
-
-// IsIndependent reports whether set is an independent set of adj.
-func IsIndependent(adj [][]int, set []int) bool {
-	in := make(map[int]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	for _, v := range set {
-		for _, w := range adj[v] {
-			if in[w] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsMaximalIndependent reports whether set is independent and no vertex can
-// be added without breaking independence.
-func IsMaximalIndependent(n int, adj [][]int, set []int) bool {
-	if !IsIndependent(adj, set) {
-		return false
-	}
-	in := make(map[int]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	for v := 0; v < n; v++ {
-		if in[v] {
-			continue
-		}
-		conflict := false
-		for _, w := range adj[v] {
-			if in[w] {
-				conflict = true
-				break
-			}
-		}
-		if !conflict {
-			return false
-		}
-	}
-	return true
-}

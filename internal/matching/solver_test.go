@@ -1,10 +1,107 @@
 package matching
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// MinWeightFullMatching solves the rectangular linear assignment problem with
+// the Jonker–Volgenant shortest-augmenting-path method: given an n×m cost
+// matrix (n ≤ m) where cost[i][j] is the weight of assigning row i to column
+// j and +Inf marks a forbidden pair, it returns an assignment rowTo (rowTo[i]
+// = column of row i) of minimum total weight saturating all rows.
+//
+// This mirrors SciPy's min_weight_full_bipartite_matching, which the paper's
+// artifact uses for gate placement and storage-return placement. It is the
+// reference Solver's dense and sparse solves must reproduce bit for bit.
+func MinWeightFullMatching(cost [][]float64) (rowTo []int, total float64, err error) {
+	n := len(cost)
+	if n == 0 {
+		return nil, 0, nil
+	}
+	m := len(cost[0])
+	for i := range cost {
+		if len(cost[i]) != m {
+			return nil, 0, errors.New("matching: ragged cost matrix")
+		}
+	}
+	if n > m {
+		return nil, 0, errTooManyRows
+	}
+
+	inf := math.Inf(1)
+	// 1-based arrays per the classic potentials formulation.
+	u := make([]float64, n+1)
+	v := make([]float64, m+1)
+	p := make([]int, m+1) // p[j] = row matched to column j (0 = none)
+	way := make([]int, m+1)
+
+	for i := 1; i <= n; i++ {
+		p[0] = i
+		j0 := 0
+		minv := make([]float64, m+1)
+		used := make([]bool, m+1)
+		for j := range minv {
+			minv[j] = inf
+		}
+		for {
+			used[j0] = true
+			i0 := p[j0]
+			delta := inf
+			j1 := -1
+			for j := 1; j <= m; j++ {
+				if used[j] {
+					continue
+				}
+				cur := cost[i0-1][j-1] - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			if j1 == -1 || math.IsInf(delta, 1) {
+				return nil, 0, ErrNoFullMatching
+			}
+			for j := 0; j <= m; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else if !math.IsInf(minv[j], 1) {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		for j0 != 0 {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+		}
+	}
+
+	rowTo = make([]int, n)
+	for j := 1; j <= m; j++ {
+		if p[j] > 0 {
+			rowTo[p[j]-1] = j - 1
+		}
+	}
+	for i := 0; i < n; i++ {
+		total += cost[i][rowTo[i]]
+	}
+	if math.IsInf(total, 1) || math.IsNaN(total) {
+		return nil, 0, ErrNoFullMatching
+	}
+	return rowTo, total, nil
+}
 
 // randomCost builds a random n×m matrix with a given probability of
 // +Inf-forbidden entries and optionally negative costs.

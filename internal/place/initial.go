@@ -179,20 +179,14 @@ func (s *saState) swap(q, q2 int) {
 	s.refreshGates(q, q2)
 }
 
-// SAInitial refines the trivial initial placement with simulated annealing
-// over Eq. 2 (paper §V-A; 1000-iteration limit by default). The candidate
-// trap pool is restricted to a neighborhood of the trivial placement large
-// enough to cover every qubit plus slack, keeping the search local — in the
-// reference architecture qubits occupy the storage rows nearest to the
-// entanglement zone.
-func SAInitial(a *arch.Architecture, staged *circuit.Staged, iterations int, r *rand.Rand) ([]arch.TrapRef, error) {
-	traps, _, err := SAInitialWithCost(a, staged, iterations, r)
-	return traps, err
-}
-
-// SAInitialWithCost is SAInitial plus the annealed best cost, so concurrent
-// restart chains (Options.SARestarts) can be compared by (cost, restart
-// index) without recomputing the Eq. 2 objective. The degenerate cases (no
+// SAInitialWithCost refines the trivial initial placement with simulated
+// annealing over Eq. 2 (paper §V-A; 1000-iteration limit by default). The
+// candidate trap pool is restricted to a neighborhood of the trivial
+// placement large enough to cover every qubit plus slack, keeping the
+// search local — in the reference architecture qubits occupy the storage
+// rows nearest to the entanglement zone. It also returns the annealed best
+// cost, so concurrent restart chains (Options.SARestarts) can be compared
+// by (cost, restart index) without recomputing the Eq. 2 objective. The degenerate cases (no
 // 2Q gates, or a non-positive iteration budget) report cost 0.
 func SAInitialWithCost(a *arch.Architecture, staged *circuit.Staged, iterations int, r *rand.Rand) ([]arch.TrapRef, float64, error) {
 	traps, _, cost, err := saInitial(a, staged, iterations, r)

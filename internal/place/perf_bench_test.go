@@ -26,7 +26,7 @@ func BenchmarkSAInitial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := place.SAInitial(a, staged, 1000, rand.New(rand.NewSource(1))); err != nil {
+		if _, _, err := place.SAInitialWithCost(a, staged, 1000, rand.New(rand.NewSource(1))); err != nil {
 			b.Fatal(err)
 		}
 	}

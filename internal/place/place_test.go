@@ -97,7 +97,7 @@ func TestSAInitialImprovesOrEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := SAInitial(a, staged, 1000, rand.New(rand.NewSource(3)))
+	sa, _, err := SAInitialWithCost(a, staged, 1000, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestSAInitialImprovesOrEqual(t *testing.T) {
 func TestSAInitialDeterministic(t *testing.T) {
 	a := arch.Reference()
 	staged := mustStage(t, ghz(8))
-	r1, _ := SAInitial(a, staged, 500, rand.New(rand.NewSource(7)))
-	r2, _ := SAInitial(a, staged, 500, rand.New(rand.NewSource(7)))
+	r1, _, _ := SAInitialWithCost(a, staged, 500, rand.New(rand.NewSource(7)))
+	r2, _, _ := SAInitialWithCost(a, staged, 500, rand.New(rand.NewSource(7)))
 	for q := range r1 {
 		if r1[q] != r2[q] {
 			t.Fatal("SA not deterministic under a fixed seed")
@@ -342,11 +342,11 @@ func TestCandidateTrapsIncludeAnchors(t *testing.T) {
 func TestPosPointAndSameLocation(t *testing.T) {
 	a := arch.Reference()
 	p1 := StoragePos(arch.TrapRef{Zone: 0, SLM: 0, Row: 3, Col: 4})
-	if !p1.Point(a).Eq(geom.Point{X: 12, Y: 9}, 1e-9) {
+	if p1.Point(a).Dist(geom.Point{X: 12, Y: 9}) > 1e-9 {
 		t.Errorf("storage pos point = %v", p1.Point(a))
 	}
 	p2 := SitePos(arch.SiteRef{Zone: 0, Row: 0, Col: 0}, 1)
-	if !p2.Point(a).Eq(geom.Point{X: 37, Y: 307}, 1e-9) {
+	if p2.Point(a).Dist(geom.Point{X: 37, Y: 307}) > 1e-9 {
 		t.Errorf("site pos point = %v", p2.Point(a))
 	}
 	if p1.SameLocation(p2) {

@@ -290,7 +290,7 @@ type saChain struct {
 // Options.Workers goroutines and returns the winner. Chain i is seeded with
 // Seed+i, results are assembled by chain index, and the winner minimizes
 // (best cost, chain index), so the outcome is independent of scheduling and
-// machine — chain 0 is bit-identical to the single-chain SAInitial run.
+// machine — chain 0 is bit-identical to a single-chain SAInitialWithCost run.
 // The winner's occupancy comes back with its traps.
 func saRestarts(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, opts Options, cov *cover.Set) ([]arch.TrapRef, []int32, error) {
 	cov.Hit("place:init:sa-restarts")
@@ -748,6 +748,8 @@ func (pl *planner) applyReturns(moves []Move) {
 // Validate checks plan invariants: every stage's gates sit at distinct
 // sites, moves are consistent with positions, and no two qubits ever occupy
 // the same trap between stages. Used by tests and callers as a safety net.
+//
+//zac:keep plan invariant check that the place and core tests run on compiled plans
 func (p *Plan) Validate() error {
 	pos := make([]Pos, p.NumQubits)
 	occ := map[arch.TrapRef]int{}

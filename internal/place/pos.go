@@ -53,11 +53,6 @@ type Move struct {
 	From, To Pos
 }
 
-// Distance returns the Euclidean length of the move.
-func (m Move) Distance(a *arch.Architecture) float64 {
-	return m.From.Point(a).Dist(m.To.Point(a))
-}
-
 // moveCost is the paper's movement-duration surrogate: √distance (Eq. 1
 // applies the square root because movement duration ∝ √d).
 func moveCost(a *arch.Architecture, from, to geom.Point) float64 {

@@ -17,16 +17,11 @@ import (
 	"zac/internal/linalg"
 )
 
-// Decompose rewrites c using only {CZ, U3} gates. Measure and Barrier gates
-// are dropped (the paper's flow compiles unitary circuit bodies; measurement
-// happens in the readout zone outside the compiled program).
-func Decompose(c *circuit.Circuit) (*circuit.Circuit, error) {
-	return DecomposeKeep(c, nil)
-}
-
-// DecomposeKeep is Decompose with a set of multi-qubit kinds to keep native
-// (currently CCZ, for architectures with three-trap Rydberg sites; CCX maps
-// to H-conjugated CCZ). A counting pass sizes the output, so its gate list
+// DecomposeKeep rewrites c using only {CZ, U3} gates plus the multi-qubit
+// kinds in keep (currently CCZ, for architectures with three-trap Rydberg
+// sites; CCX maps to H-conjugated CCZ). Measure and Barrier gates are
+// dropped (the paper's flow compiles unitary circuit bodies; measurement
+// happens in the readout zone outside the compiled program). A counting pass sizes the output, so its gate list
 // and the qubit and parameter storage of its new gates are allocated once.
 func DecomposeKeep(c *circuit.Circuit, keep map[circuit.Kind]bool) (*circuit.Circuit, error) {
 	var count gateBuf

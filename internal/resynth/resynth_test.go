@@ -32,7 +32,7 @@ func TestDecomposeOnlyNativeGates(t *testing.T) {
 	c.Append(circuit.CCX, []int{0, 1, 2})
 	c.Append(circuit.SWAP, []int{1, 2})
 	c.Append(circuit.RZZ, []int{0, 1}, 0.4)
-	d, err := Decompose(c)
+	d, err := DecomposeKeep(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDecomposeEquivalenceAllKinds(t *testing.T) {
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
 			orig := mk(build)
-			dec, err := Decompose(orig)
+			dec, err := DecomposeKeep(orig, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestOptimize1QDropsIdentity(t *testing.T) {
 	c := circuit.New("id", 2)
 	c.Append(circuit.H, []int{0})
 	c.Append(circuit.H, []int{0}) // H·H = I
-	dec, _ := Decompose(c)
+	dec, _ := DecomposeKeep(c, nil)
 	opt, err := Optimize1Q(dec)
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +130,19 @@ func TestOptimize1QKeepsCZBoundary(t *testing.T) {
 	c.Append(circuit.H, []int{0})
 	c.Append(circuit.CZ, []int{0, 1})
 	c.Append(circuit.H, []int{0}) // must NOT merge across CZ
-	dec, _ := Decompose(c)
+	dec, _ := DecomposeKeep(c, nil)
 	opt, err := Optimize1Q(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, two := opt.CountByArity()
+	one, two := 0, 0
+	for _, g := range opt.Gates {
+		if len(g.Qubits) == 1 {
+			one++
+		} else {
+			two++
+		}
+	}
 	if two != 1 || one != 2 {
 		t.Fatalf("expected 2 U3 + 1 CZ, got %d U3 %d CZ: %v", one, two, opt.Gates)
 	}
@@ -245,7 +252,7 @@ func TestDecomposeDropsNonUnitary(t *testing.T) {
 	c := circuit.New("m", 1)
 	c.Append(circuit.H, []int{0})
 	c.Append(circuit.Measure, []int{0})
-	d, err := Decompose(c)
+	d, err := DecomposeKeep(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,15 +41,6 @@ func (c *Coupling) Adjacent(a, b int) bool {
 	return false
 }
 
-// NumEdges counts couplers.
-func (c *Coupling) NumEdges() int {
-	n := 0
-	for _, adj := range c.Adj {
-		n += len(adj)
-	}
-	return n / 2
-}
-
 // Grid builds an r×c nearest-neighbor grid coupling.
 func Grid(rows, cols int) *Coupling {
 	g := newCoupling(fmt.Sprintf("grid_%dx%d", rows, cols), rows*cols)
@@ -155,25 +146,4 @@ func (c *Coupling) ShortestPath(a, b int) []int {
 		}
 	}
 	return nil
-}
-
-// Connected reports whether the graph is connected.
-func (c *Coupling) Connected() bool {
-	if c.N == 0 {
-		return true
-	}
-	seen := make([]bool, c.N)
-	seen[0] = true
-	queue := []int{0}
-	count := 1
-	for qi := 0; qi < len(queue); qi++ {
-		for _, v := range c.Adj[queue[qi]] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				queue = append(queue, v)
-			}
-		}
-	}
-	return count == c.N
 }

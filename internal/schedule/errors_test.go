@@ -18,7 +18,7 @@ func TestBuildRejectsNoAODs(t *testing.T) {
 	staged, plan := compilePlan(t, a, ghz(4), place.Default())
 	noAODs := *a
 	noAODs.AODs = nil
-	_, err := Build(context.Background(), &noAODs, staged, plan)
+	_, err := BuildWithOptions(context.Background(), &noAODs, staged, plan, Options{})
 	if err == nil || !strings.Contains(err.Error(), "no AODs") {
 		t.Fatalf("err = %v, want no-AODs error", err)
 	}
@@ -35,7 +35,7 @@ func TestBuildRejectsShortPlan(t *testing.T) {
 	}
 	truncated := *plan
 	truncated.Steps = plan.Steps[:1]
-	_, err := Build(context.Background(), a, staged, &truncated)
+	_, err := BuildWithOptions(context.Background(), a, staged, &truncated, Options{})
 	if err == nil || !strings.Contains(err.Error(), "plan has") {
 		t.Fatalf("err = %v, want short-plan error", err)
 	}
@@ -49,7 +49,7 @@ func TestBuildRejectsMisalignedStep(t *testing.T) {
 	shifted := *plan
 	shifted.Steps = append([]place.Step(nil), plan.Steps...)
 	shifted.Steps[0].StageIdx += 1
-	_, err := Build(context.Background(), a, staged, &shifted)
+	_, err := BuildWithOptions(context.Background(), a, staged, &shifted, Options{})
 	if err == nil || !strings.Contains(err.Error(), "maps to stage") {
 		t.Fatalf("err = %v, want misaligned-step error", err)
 	}
@@ -82,7 +82,7 @@ func TestBuildRejectsCyclicMoves(t *testing.T) {
 		{Qubit: 1, From: place.SitePos(s1, 0), To: place.SitePos(s0, 0)},
 	}
 	cyc.Steps[1] = step
-	_, err := Build(context.Background(), a, staged, &cyc)
+	_, err := BuildWithOptions(context.Background(), a, staged, &cyc, Options{})
 	if !errors.Is(err, errCyclicJobs) {
 		t.Fatalf("err = %v, want errCyclicJobs", err)
 	}
@@ -94,7 +94,7 @@ func TestBuildCancelled(t *testing.T) {
 	staged, plan := compilePlan(t, a, ghz(6), place.Default())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Build(ctx, a, staged, plan); !errors.Is(err, context.Canceled) {
+	if _, err := BuildWithOptions(ctx, a, staged, plan, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

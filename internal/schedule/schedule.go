@@ -55,14 +55,6 @@ type Result struct {
 	NumJobs int
 }
 
-// Build schedules the plan into a timed ZAIR program with the default
-// Options. The context is checked between stages, so a cancelled compilation
-// stops mid-schedule; cancellation never alters the produced program, only
-// whether one is produced.
-func Build(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, plan *place.Plan) (*Result, error) {
-	return BuildWithOptions(ctx, a, staged, plan, Options{})
-}
-
 // BuildWithOptions is Build with an explicit worker budget.
 func BuildWithOptions(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, plan *place.Plan, opts Options) (*Result, error) {
 	if len(a.AODs) == 0 {

@@ -84,7 +84,7 @@ func (u *unknownLoc) Error() string {
 func TestBuildProducesValidProgram(t *testing.T) {
 	a := arch.Reference()
 	staged, plan := compilePlan(t, a, ghz(14), place.Default())
-	res, err := Build(context.Background(), a, staged, plan)
+	res, err := BuildWithOptions(context.Background(), a, staged, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestBuildProducesValidProgram(t *testing.T) {
 func TestProgramTimesMonotonePerAOD(t *testing.T) {
 	a := arch.Reference()
 	staged, plan := compilePlan(t, a, pairs(16), place.Default())
-	res, err := Build(context.Background(), a, staged, plan)
+	res, err := BuildWithOptions(context.Background(), a, staged, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestMultiAODShortensSchedule(t *testing.T) {
 	a1 := arch.Reference()
 	a2 := arch.WithAODs(arch.Reference(), 2)
 	staged, plan := compilePlan(t, a1, c, place.Default())
-	res1, err := Build(context.Background(), a1, staged, plan)
+	res1, err := BuildWithOptions(context.Background(), a1, staged, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Build(context.Background(), a2, staged, plan)
+	res2, err := BuildWithOptions(context.Background(), a2, staged, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestOneQGatesSequential(t *testing.T) {
 		c.Append(circuit.H, []int{q})
 	}
 	staged, plan := compilePlan(t, a, c, place.Default())
-	res, err := Build(context.Background(), a, staged, plan)
+	res, err := BuildWithOptions(context.Background(), a, staged, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestOneQGatesSequential(t *testing.T) {
 func TestJobTimingIncludesTransfersAndMove(t *testing.T) {
 	a := arch.Reference()
 	staged, plan := compilePlan(t, a, ghz(4), place.Default())
-	res, err := Build(context.Background(), a, staged, plan)
+	res, err := BuildWithOptions(context.Background(), a, staged, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestVerifierOnAllArchitectures(t *testing.T) {
 	for name, a := range cases {
 		t.Run(name, func(t *testing.T) {
 			staged, plan := compilePlan(t, a, pairs(24), place.Default())
-			res, err := Build(context.Background(), a, staged, plan)
+			res, err := BuildWithOptions(context.Background(), a, staged, plan, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +316,7 @@ func TestVerifierWithAdvancedReuse(t *testing.T) {
 		}
 	}
 	staged, plan := compilePlan(t, a, qft, opts)
-	res, err := Build(context.Background(), a, staged, plan)
+	res, err := BuildWithOptions(context.Background(), a, staged, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestVerifierWithAdvancedReuse(t *testing.T) {
 func TestRydbergPerZone(t *testing.T) {
 	a := arch.Arch2TwoZones()
 	staged, plan := compilePlan(t, a, pairs(30), place.Default())
-	res, err := Build(context.Background(), a, staged, plan)
+	res, err := BuildWithOptions(context.Background(), a, staged, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,16 +169,3 @@ func (s *Server) dropJob(id string) {
 		}
 	}
 }
-
-// journalPath returns the journal directory, or "" when none is attached
-// (used by tests and the drain log line).
-func (s *Server) journalPath() string {
-	if s.journal == nil {
-		return ""
-	}
-	return s.journal.dir
-}
-
-// JobsReplayed reports how many journaled jobs this process replayed at
-// startup.
-func (s *Server) JobsReplayed() uint64 { return s.jobsReplayed.Load() }

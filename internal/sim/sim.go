@@ -209,12 +209,3 @@ func FidelityUpToPhase(a, b *State) float64 {
 	}
 	return cmplx.Abs(dot)
 }
-
-// Norm returns the 2-norm of the state (should always be 1).
-func (s *State) Norm() float64 {
-	t := 0.0
-	for _, a := range s.Amp {
-		t += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return math.Sqrt(t)
-}

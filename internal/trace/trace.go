@@ -1,5 +1,5 @@
 // Package trace renders compiled ZAIR programs as human-readable timelines:
-// a chronological event log and an ASCII Gantt chart with one lane per AOD
+// a chronological event list and an ASCII Gantt chart with one lane per AOD
 // plus lanes for Rydberg exposures and 1Q pulse trains. It exists for
 // debugging compilations and for inspecting how the load-balancing scheduler
 // fills multiple AODs (paper §VI).
@@ -57,18 +57,6 @@ func Events(p *zair.Program) []Event {
 	return evs
 }
 
-// Log renders the event list as text, one line per event.
-func Log(p *zair.Program) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "timeline of %s (%d qubits, %.3f ms)\n",
-		p.Name, p.NumQubits, p.Duration()/1000)
-	for _, e := range Events(p) {
-		fmt.Fprintf(&b, "%10.2f – %10.2f µs  %-5s %-8s %s\n",
-			e.Begin, e.End, e.Lane, e.Kind, e.Label)
-	}
-	return b.String()
-}
-
 // Gantt renders an ASCII Gantt chart of the program, width columns wide.
 // Each lane shows '█' where the lane is busy.
 func Gantt(p *zair.Program, width int) string {
@@ -112,19 +100,4 @@ func Gantt(p *zair.Program, width int) string {
 		fmt.Fprintf(&b, "%-6s |%s| %4.1f%%\n", lane, row, 100*busy/total)
 	}
 	return b.String()
-}
-
-// Utilization returns, per lane, the fraction of total program time the
-// lane is busy — the hardware-utilization metric the multi-AOD study
-// optimizes (§VI).
-func Utilization(p *zair.Program) map[string]float64 {
-	total := p.Duration()
-	out := map[string]float64{}
-	if total <= 0 {
-		return out
-	}
-	for _, e := range Events(p) {
-		out[e.Lane] += (e.End - e.Begin) / total
-	}
-	return out
 }

@@ -45,10 +45,6 @@ func TestEventsChronological(t *testing.T) {
 
 func TestLogAndGantt(t *testing.T) {
 	p := compiled(t)
-	log := Log(p)
-	if !strings.Contains(log, "rydberg") || !strings.Contains(log, "AOD0") {
-		t.Errorf("log missing content:\n%s", log)
-	}
 	g := Gantt(p, 60)
 	if !strings.Contains(g, "AOD0") || !strings.Contains(g, "#") {
 		t.Errorf("gantt missing content:\n%s", g)
@@ -72,14 +68,14 @@ func TestGanttEmpty(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	p := compiled(t)
-	u := Utilization(p)
+	u := utilization(p)
 	if u["AOD0"] <= 0 || u["AOD0"] > 1 {
 		t.Errorf("AOD0 utilization %v", u["AOD0"])
 	}
 	if u["RYD"] <= 0 {
 		t.Errorf("RYD utilization %v", u["RYD"])
 	}
-	if len(Utilization(&zair.Program{})) != 0 {
+	if len(utilization(&zair.Program{})) != 0 {
 		t.Error("empty program should have no utilization")
 	}
 }
@@ -90,12 +86,30 @@ func TestMultiAODLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := Utilization(res.Program)
-	if _, ok := u["AOD0"]; !ok {
+	u := map[string]bool{}
+	for _, e := range Events(res.Program) {
+		u[e.Lane] = true
+	}
+	if !u["AOD0"] {
 		t.Error("missing AOD0 lane")
 	}
 	// With a wide parallel circuit the second AOD should see some work.
-	if _, ok := u["AOD1"]; !ok {
+	if !u["AOD1"] {
 		t.Log("AOD1 unused (acceptable if phases produced single jobs)")
 	}
+}
+
+// utilization returns, per lane, the fraction of total program time the
+// lane is busy — the hardware-utilization metric the multi-AOD study
+// optimizes (§VI).
+func utilization(p *zair.Program) map[string]float64 {
+	total := p.Duration()
+	out := map[string]float64{}
+	if total <= 0 {
+		return out
+	}
+	for _, e := range Events(p) {
+		out[e.Lane] += (e.End - e.Begin) / total
+	}
+	return out
 }

@@ -41,11 +41,6 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a uniform float in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -208,9 +208,17 @@ func TestQAOADegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	deg := map[int]int{}
-	for _, e := range c.TwoQubitEdges() {
-		deg[e[0]]++
-		deg[e[1]]++
+	edges := map[[2]int]bool{}
+	for _, g := range c.Gates {
+		if len(g.Qubits) != 2 {
+			continue
+		}
+		e := [2]int{min(g.Qubits[0], g.Qubits[1]), max(g.Qubits[0], g.Qubits[1])}
+		if !edges[e] {
+			edges[e] = true
+			deg[e[0]]++
+			deg[e[1]]++
+		}
 	}
 	for q := 0; q < c.NumQubits; q++ {
 		if deg[q] != 3 {
@@ -242,7 +250,7 @@ func TestHIQPBuildsOnFTQC(t *testing.T) {
 	// One pass has log2(8)=3 CNOT layers of 4 CZs; two rounds double it.
 	cz := 0
 	for _, g := range c.Gates {
-		if g.Is2Q() {
+		if len(g.Qubits) == 2 {
 			cz++
 		}
 	}

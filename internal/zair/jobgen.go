@@ -127,7 +127,3 @@ func BuildJob(aodID int, moves []MoveSpec, transferTime float64, moveTime func(d
 
 	return job, timing
 }
-
-// TransfersPerJob returns the atom-transfer count of a job: each moved
-// qubit is picked up once and dropped once.
-func TransfersPerJob(j RearrangeJob) int { return 2 * j.NumMoved() }

@@ -185,8 +185,8 @@ func TestBuildJobMatchesPaperExample(t *testing.T) {
 	if _, ok := job.Insts[0].(Activate); !ok {
 		t.Error("first inst not activate")
 	}
-	if TransfersPerJob(job) != 4 {
-		t.Errorf("transfers = %d", TransfersPerJob(job))
+	if job.NumMoved() != 2 {
+		t.Errorf("moved = %d", job.NumMoved())
 	}
 	// Single row pickup: one BeginLocs row with both qubits.
 	if len(job.BeginLocs) != 1 || len(job.BeginLocs[0]) != 2 {
@@ -217,8 +217,8 @@ func TestBuildJobMultiRowPickup(t *testing.T) {
 	if acts != 2 {
 		t.Errorf("activates = %d", acts)
 	}
-	if TransfersPerJob(job) != 6 {
-		t.Errorf("transfers = %d", TransfersPerJob(job))
+	if job.NumMoved() != 3 {
+		t.Errorf("moved = %d", job.NumMoved())
 	}
 }
 
