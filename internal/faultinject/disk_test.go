@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -215,5 +217,28 @@ func TestDiskCacheChaosSelfHeals(t *testing.T) {
 	}
 	if st := d.Stats(); st.BreakerState != engine.BreakerClosed {
 		t.Fatalf("breaker not closed after chaos: %+v", st)
+	}
+}
+
+// TestFSLatencyUsesSetSleep runs a file-system latency fault through a
+// recording sleeper: the read waits on the plan's sleeper for the rule's
+// latency, then returns the file unchanged.
+func TestFSLatencyUsesSetSleep(t *testing.T) {
+	plan := NewPlan(1, Rule{Point: PointReadFile, Hits: []uint64{1}, Kind: KindLatency, Latency: time.Hour})
+	var slept []time.Duration
+	plan.SetSleep(func(d time.Duration) { slept = append(slept, d) })
+	name := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(name, []byte("payload"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fsys := WrapFS(engine.OSFS, plan)
+	for range 2 {
+		raw, err := fsys.ReadFile(name)
+		if err != nil || string(raw) != "payload" {
+			t.Fatalf("ReadFile = %q, %v; want the file's bytes", raw, err)
+		}
+	}
+	if len(slept) != 1 || slept[0] != time.Hour {
+		t.Fatalf("slept %v, want one sleep of 1h (the fault fires on hit 1 only)", slept)
 	}
 }

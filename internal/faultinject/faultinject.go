@@ -158,10 +158,12 @@ func (p *Plan) SetEnabled(on bool) {
 	p.mu.Unlock()
 }
 
-// SetSleep overrides the latency-fault sleeper (tests; nil restores
-// time.Sleep).
+// SetSleep overrides the sleeper of the file-system latency faults that
+// WrapFS injects (tests; nil restores time.Sleep). Pass-boundary latency
+// faults (Boundary) wait on a timer so that ctx can cancel them, and do not
+// use it.
 //
-//zac:keep fault-injection seam: it lets a test run latency faults without sleeping
+//zac:keep fault-injection seam: it lets a test run file-system latency faults without sleeping
 func (p *Plan) SetSleep(fn func(time.Duration)) {
 	p.mu.Lock()
 	if fn == nil {

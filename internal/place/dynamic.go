@@ -16,35 +16,56 @@ import (
 // and g′ (next stage) when they share a qubit, and a Hopcroft–Karp maximum
 // matching resolves conflicts such as both qubits of one site being
 // reusable. It returns, for each gate of next, the index of the previous
-// gate whose site it inherits (or -1).
-func reuseMatch(prev, next []circuit.Gate) []int {
-	adj := make([][]int, len(prev))
-	for i, g := range prev {
-		for j, h := range next {
-			if sharesQubit(g, h) {
-				adj[i] = append(adj[i], j)
-			}
+// gate whose site it inherits (or -1), in a scratch slice valid until the
+// next call.
+//
+// A stage holds each qubit at most once (circuit.Staged.Validate), so a
+// by-qubit index over next hands each previous gate its at most arity
+// partners directly instead of testing every gate pair. Each adjacency row
+// lists its partners ascending and once, as the pair scan did: the
+// matching Hopcroft–Karp finds depends on that order.
+func (sc *transitionScratch) reuseMatch(prev, next []circuit.Gate) []int {
+	for j, h := range next {
+		for _, q := range h.Qubits {
+			sc.gateOf[q] = int32(j)
 		}
 	}
-	matchL, _ := matching.HopcroftKarp(adj, len(next))
-	out := slices.Repeat([]int{-1}, len(next))
+	arity := 0
+	for _, g := range prev {
+		arity += len(g.Qubits)
+	}
+	// The rows are windows of one backing array, grown up front so that
+	// appending never moves a row already taken.
+	back := slices.Grow(sc.adjBack[:0], arity)
+	sc.adj = sc.adj[:0]
+	for _, g := range prev {
+		start := len(back)
+		for _, q := range g.Qubits {
+			if j := int(sc.gateOf[q]); j >= 0 && !slices.Contains(back[start:], j) {
+				back = append(back, j)
+			}
+		}
+		slices.Sort(back[start:])
+		sc.adj = append(sc.adj, back[start:len(back):len(back)])
+	}
+	sc.adjBack = back
+	for _, h := range next {
+		for _, q := range h.Qubits {
+			sc.gateOf[q] = -1
+		}
+	}
+	matchL, _ := matching.HopcroftKarp(sc.adj, len(next))
+	out := sc.reuseOf[:0]
+	for range next {
+		out = append(out, -1)
+	}
 	for i, j := range matchL {
 		if j >= 0 {
 			out[j] = i
 		}
 	}
+	sc.reuseOf = out
 	return out
-}
-
-func sharesQubit(g, h circuit.Gate) bool {
-	for _, a := range g.Qubits {
-		for _, b := range h.Qubits {
-			if a == b {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // transitionScratch holds every reusable buffer of the stage-transition
@@ -64,8 +85,14 @@ type transitionScratch struct {
 	related  []int32 // by qubit → next-stage partner, -1 = none
 
 	lookahead []int32 // by gate index in cur → partner qubit, -1 = none
-	reuseOf   []int   // by gate index in cur
 	gateIdx   []int
+
+	// reuse matching: next-stage gate by qubit (-1 = none; reset after
+	// each call), adjacency rows over one backing array, and the result
+	gateOf  []int32
+	adjBack []int
+	adj     [][]int
+	reuseOf []int // by gate index in next
 
 	// union-column machinery shared by gate and return placement
 	sites   []arch.SiteRef
@@ -108,6 +135,7 @@ func newTransitionScratch(a *arch.Architecture, numQubits int) *transitionScratc
 		stay:      make([]bool, numQubits),
 		banned:    make([]bool, numQubits),
 		related:   make([]int32, numQubits),
+		gateOf:    slices.Repeat([]int32{-1}, numQubits),
 		siteCol:   slices.Repeat([]int32{-1}, a.SiteCount()),
 		trapCol:   slices.Repeat([]int32{-1}, a.TrapCount()),
 		slotTaken: make([]bool, a.MaxSiteSlots()),
@@ -439,19 +467,42 @@ func appendCandidateTraps(
 		anchor(a.NearestStorageTrap(pos[related[q]].Point(a)))
 	}
 
-	// Collect the empty traps inside the bounding box. Restrict the scan to
-	// the storage SLM arrays that intersect the box.
+	return appendFreeTrapsIn(a, dst, box, occ)
+}
+
+// appendFreeTrapsIn appends the ordinals of the empty storage traps inside
+// box, array by array, rows ascending and then columns. TrapPos takes x
+// from the column alone and y from the row alone, so an array's in-box
+// traps form a rectangle: the scan trims the end rows and columns of the
+// nearest-trap range with the inclusive comparisons of a per-trap test,
+// then walks each row's occupancy from one ordinal.
+func appendFreeTrapsIn(a *arch.Architecture, dst []int32, box *geom.BBox, occ []int32) []int32 {
 	for zi, zz := range a.Storage {
 		for si, s := range zz.SLMs {
 			rLo, cLo := s.NearestTrap(geom.Point{X: box.MinX, Y: box.MinY})
 			rHi, cHi := s.NearestTrap(geom.Point{X: box.MaxX, Y: box.MaxY})
-			for r := min(rLo, rHi); r <= max(rLo, rHi); r++ {
-				for c := min(cLo, cHi); c <= max(cLo, cHi); c++ {
-					if !box.Contains(s.TrapPos(r, c)) {
-						continue
-					}
-					if ord := a.TrapOrdinal(arch.TrapRef{Zone: zi, SLM: si, Row: r, Col: c}); occ[ord] < 0 {
-						dst = append(dst, int32(ord))
+			rLo, rHi = min(rLo, rHi), max(rLo, rHi)
+			cLo, cHi = min(cLo, cHi), max(cLo, cHi)
+			for rLo <= rHi && !within(s.TrapPos(rLo, 0).Y, box.MinY, box.MaxY) {
+				rLo++
+			}
+			for rHi >= rLo && !within(s.TrapPos(rHi, 0).Y, box.MinY, box.MaxY) {
+				rHi--
+			}
+			for cLo <= cHi && !within(s.TrapPos(0, cLo).X, box.MinX, box.MaxX) {
+				cLo++
+			}
+			for cHi >= cLo && !within(s.TrapPos(0, cHi).X, box.MinX, box.MaxX) {
+				cHi--
+			}
+			if cLo > cHi {
+				continue
+			}
+			for r := rLo; r <= rHi; r++ {
+				base := a.TrapOrdinal(arch.TrapRef{Zone: zi, SLM: si, Row: r, Col: cLo})
+				for i, q := range occ[base : base+cHi-cLo+1] {
+					if q < 0 {
+						dst = append(dst, int32(base+i))
 					}
 				}
 			}
@@ -459,3 +510,6 @@ func appendCandidateTraps(
 	}
 	return dst
 }
+
+// within reports lo ≤ v ≤ hi: one axis of a box's inclusive bounds.
+func within(v, lo, hi float64) bool { return v >= lo && v <= hi }

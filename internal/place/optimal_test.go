@@ -2,6 +2,8 @@ package place
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"zac/internal/arch"
@@ -177,5 +179,154 @@ func TestPaperExampleGatePlacementCost(t *testing.T) {
 	look := moveCost(a, geom.Point{X: 13, Y: 9}, site)
 	if look <= 0 {
 		t.Fatal("lookahead term must be positive")
+	}
+}
+
+// boxScanFreeTraps is the reference storage scan behind the candidate
+// traps: every trap of each array's nearest-trap range pays one
+// containment test.
+func boxScanFreeTraps(a *arch.Architecture, dst []int32, box *geom.BBox, occ []int32) []int32 {
+	for zi, zz := range a.Storage {
+		for si, s := range zz.SLMs {
+			rLo, cLo := s.NearestTrap(geom.Point{X: box.MinX, Y: box.MinY})
+			rHi, cHi := s.NearestTrap(geom.Point{X: box.MaxX, Y: box.MaxY})
+			for r := min(rLo, rHi); r <= max(rLo, rHi); r++ {
+				for c := min(cLo, cHi); c <= max(cLo, cHi); c++ {
+					if p := s.TrapPos(r, c); !(p.X >= box.MinX && p.X <= box.MaxX && p.Y >= box.MinY && p.Y <= box.MaxY) {
+						continue
+					}
+					if ord := a.TrapOrdinal(arch.TrapRef{Zone: zi, SLM: si, Row: r, Col: c}); occ[ord] < 0 {
+						dst = append(dst, int32(ord))
+					}
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// boxScanCandidateTraps is the reference S_cand^q: the anchors' bounding
+// box (paper Fig. 6c) scanned trap by trap.
+func boxScanCandidateTraps(a *arch.Architecture, q int, pos []Pos, home []arch.TrapRef, related []int32, occ []int32, k int) []int32 {
+	box := geom.NewBBox()
+	box.Extend(a.TrapPos(home[q]))
+	nearest := a.NearestStorageTrap(pos[q].Point(a))
+	box.Extend(a.TrapPos(nearest))
+	z := a.Storage[nearest.Zone].SLMs[nearest.SLM]
+	for d := 1; d <= k; d++ {
+		for _, rc := range [4][2]int{{0, -d}, {0, d}, {-d, 0}, {d, 0}} {
+			if r, c := nearest.Row+rc[0], nearest.Col+rc[1]; z.InRange(r, c) {
+				box.Extend(z.TrapPos(r, c))
+			}
+		}
+	}
+	if related != nil && related[q] >= 0 {
+		box.Extend(a.TrapPos(a.NearestStorageTrap(pos[related[q]].Point(a))))
+	}
+	return boxScanFreeTraps(a, nil, box, occ)
+}
+
+var scanArchs = []struct {
+	name string
+	a    *arch.Architecture
+}{
+	{"Reference", arch.Reference()},
+	{"ReferenceTriple", arch.ReferenceTriple()},
+	{"Arch1Small", arch.Arch1Small()},
+	{"Arch2TwoZones", arch.Arch2TwoZones()},
+	{"Logical832", arch.Logical832()},
+}
+
+func randomTrap(r *rand.Rand, a *arch.Architecture) arch.TrapRef {
+	zi := r.Intn(len(a.Storage))
+	si := r.Intn(len(a.Storage[zi].SLMs))
+	s := a.Storage[zi].SLMs[si]
+	return arch.TrapRef{Zone: zi, SLM: si, Row: r.Intn(s.Rows), Col: r.Intn(s.Cols)}
+}
+
+// randomOccupancy marks about half of a's storage traps occupied.
+func randomOccupancy(r *rand.Rand, a *arch.Architecture) []int32 {
+	occ := newOccupancy(a)
+	for i := range occ {
+		if r.Intn(2) == 0 {
+			occ[i] = int32(r.Intn(64))
+		}
+	}
+	return occ
+}
+
+// TestFreeTrapsInMatchesBoxScan checks the rectangle scan against the
+// per-trap scan on boxes whose ends fall between traps (so trimming drops
+// end rows or columns), reach past the arrays, or sit exactly on traps.
+func TestFreeTrapsInMatchesBoxScan(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for _, tc := range scanArchs {
+		a := tc.a
+		span := geom.NewBBox()
+		for ord := range a.TrapCount() {
+			span.Extend(a.TrapPosAt(ord))
+		}
+		mx, my := (span.MaxX-span.MinX)/8+1, (span.MaxY-span.MinY)/8+1
+		between := func(lo, hi, m float64) float64 { return lo - m + r.Float64()*(hi-lo+2*m) }
+		for i := range 300 {
+			occ := randomOccupancy(r, a)
+			box := geom.NewBBox()
+			switch i % 3 {
+			case 0: // anywhere, ends between traps
+				box.Extend(geom.Point{X: between(span.MinX, span.MaxX, mx), Y: between(span.MinY, span.MaxY, my)})
+				box.Extend(geom.Point{X: between(span.MinX, span.MaxX, mx), Y: between(span.MinY, span.MaxY, my)})
+			case 1: // around one trap, possibly holding none
+				p := a.TrapPos(randomTrap(r, a))
+				box.Extend(geom.Point{X: p.X - r.Float64()*mx/4, Y: p.Y - r.Float64()*my/4})
+				box.Extend(geom.Point{X: p.X + r.Float64()*mx/4, Y: p.Y + r.Float64()*my/4})
+			default: // corners exactly on traps
+				box.Extend(a.TrapPos(randomTrap(r, a)))
+				box.Extend(a.TrapPos(randomTrap(r, a)))
+			}
+			want := boxScanFreeTraps(a, nil, box, occ)
+			if got := appendFreeTrapsIn(a, nil, box, occ); !slices.Equal(got, want) {
+				t.Fatalf("%s box %d %+v: rectangle scan = %v, per-trap scan = %v", tc.name, i, *box, got, want)
+			}
+		}
+	}
+}
+
+// TestCandidateTrapsMatchBoxScan checks appendCandidateTraps against the
+// per-trap reference over every architecture, with random occupancy, qubits
+// both in storage and in the entanglement zone, and several k.
+func TestCandidateTrapsMatchBoxScan(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	const n = 16
+	for _, tc := range scanArchs {
+		a := tc.a
+		for round := range 8 {
+			occ := randomOccupancy(r, a)
+			pos := make([]Pos, n)
+			home := make([]arch.TrapRef, n)
+			related := make([]int32, n)
+			for q := range n {
+				home[q] = randomTrap(r, a)
+				if q%2 == 0 {
+					pos[q] = StoragePos(randomTrap(r, a))
+				} else {
+					zi := r.Intn(len(a.Entanglement))
+					z := a.Entanglement[zi]
+					site := arch.SiteRef{Zone: zi, Row: r.Intn(z.SiteRows()), Col: r.Intn(z.SiteCols())}
+					pos[q] = SitePos(site, r.Intn(len(z.SLMs)))
+				}
+				related[q] = int32(r.Intn(n+1) - 1)
+			}
+			if round%4 == 0 {
+				related = nil
+			}
+			for _, k := range []int{0, 1, 3, 7} {
+				for q := range n {
+					want := boxScanCandidateTraps(a, q, pos, home, related, occ, k)
+					if got := appendCandidateTraps(a, nil, q, pos, home, related, occ, k); !slices.Equal(got, want) {
+						t.Fatalf("%s round %d k=%d q=%d: candidates = %v, per-trap scan = %v", tc.name, round, k, q, got, want)
+					}
+				}
+			}
+		}
 	}
 }

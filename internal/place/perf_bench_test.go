@@ -33,19 +33,24 @@ func BenchmarkSAInitial(b *testing.B) {
 }
 
 // BenchmarkBuildPlan measures the full placement pipeline under the paper's
-// SA+dynPlace+reuse preset for the two heaviest subset circuits and for
-// forge-scale's largest QAOA spec, split to site capacity as that workload
-// splits it: 11 transitions between stages of up to 96 gates, the size at
-// which the transition solves dominate a compile.
+// SA+dynPlace+reuse preset for the two heaviest subset circuits and for two
+// forge-scale specs, split to site capacity as that workload splits them:
+// the largest QAOA spec (11 transitions between stages of up to 96 gates,
+// the size at which the transition solves dominate a compile) and the
+// Ising chain, whose 128-gate stages were where reuse matching over every
+// gate pair cost most.
 func BenchmarkBuildPlan(b *testing.B) {
 	a := arch.Reference()
-	c, err := workload.Build("qaoa:n=192,p=2,seed=1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	forge, err := resynth.Preprocess(c)
-	if err != nil {
-		b.Fatal(err)
+	forge := func(spec string) *circuit.Staged {
+		c, err := workload.Build(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		staged, err := resynth.Preprocess(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return circuit.SplitRydbergStages(staged, a.TotalSites())
 	}
 	for _, in := range []struct {
 		name   string
@@ -53,7 +58,8 @@ func BenchmarkBuildPlan(b *testing.B) {
 	}{
 		{"qft_n18", stagedBench(b, "qft_n18")},
 		{"ising_n42", stagedBench(b, "ising_n42")},
-		{"forge_qaoa_n192", circuit.SplitRydbergStages(forge, a.TotalSites())},
+		{"forge_qaoa_n192", forge("qaoa:n=192,p=2,seed=1")},
+		{"forge_ising_n256", forge("ising:n=256,layers=4")},
 	} {
 		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"zac/internal/arch"
 	"zac/internal/circuit"
 	"zac/internal/geom"
+	"zac/internal/matching"
 	"zac/internal/resynth"
 )
 
@@ -177,7 +179,7 @@ func TestReuseMatch(t *testing.T) {
 		circuit.NewGate(circuit.CZ, []int{3, 5}),
 		circuit.NewGate(circuit.CZ, []int{0, 4}),
 	}
-	m := reuseMatch(prev, next)
+	m := newTransitionScratch(arch.Reference(), 6).reuseMatch(prev, next)
 	// Maximum matching has size 2 (only two previous gates).
 	matched := 0
 	usedPrev := map[int]bool{}
@@ -200,8 +202,103 @@ func TestReuseMatch(t *testing.T) {
 }
 
 func TestReuseMatchEmpty(t *testing.T) {
-	if m := reuseMatch(nil, []circuit.Gate{circuit.NewGate(circuit.CZ, []int{0, 1})}); m[0] != -1 {
+	sc := newTransitionScratch(arch.Reference(), 2)
+	if m := sc.reuseMatch(nil, []circuit.Gate{circuit.NewGate(circuit.CZ, []int{0, 1})}); m[0] != -1 {
 		t.Error("no previous gates must mean no reuse")
+	}
+}
+
+func sharesQubit(g, h circuit.Gate) bool {
+	for _, a := range g.Qubits {
+		for _, b := range h.Qubits {
+			if a == b {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pairScanAdjacency is the reference reuse graph: it tests every
+// (prev, next) gate pair.
+func pairScanAdjacency(prev, next []circuit.Gate) [][]int {
+	adj := make([][]int, len(prev))
+	for i, g := range prev {
+		for j, h := range next {
+			if sharesQubit(g, h) {
+				adj[i] = append(adj[i], j)
+			}
+		}
+	}
+	return adj
+}
+
+// pairScanReuseMatch is the reference reuse matching over
+// pairScanAdjacency.
+func pairScanReuseMatch(prev, next []circuit.Gate) []int {
+	matchL, _ := matching.HopcroftKarp(pairScanAdjacency(prev, next), len(next))
+	out := slices.Repeat([]int{-1}, len(next))
+	for i, j := range matchL {
+		if j >= 0 {
+			out[j] = i
+		}
+	}
+	return out
+}
+
+// randomStage draws a valid Rydberg stage over n qubits: disjoint CZ and
+// CCZ gates over a random subset of them.
+func randomStage(r *rand.Rand, n int) []circuit.Gate {
+	perm := r.Perm(n)
+	var gates []circuit.Gate
+	for len(perm) >= 2 {
+		k := circuit.CZ
+		if len(perm) >= 3 && r.Intn(3) == 0 {
+			k = circuit.CCZ
+		}
+		qs := perm[:k.NumQubits()]
+		perm = perm[k.NumQubits():]
+		if r.Intn(4) > 0 {
+			gates = append(gates, circuit.NewGate(k, qs))
+		}
+	}
+	return gates
+}
+
+// TestReuseMatchMatchesPairScan checks the by-qubit reuse matching against
+// the pair scan: the same adjacency rows, and the same slice, not only a
+// matching of the same size, because the site each gate inherits depends
+// on which maximum matching is found. A scratch is reused across draws, as
+// BuildPlan reuses it across transitions.
+func TestReuseMatchMatchesPairScan(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	cz := func(q ...int) circuit.Gate { return circuit.NewGate(circuit.CZ, q) }
+	ccz := func(q ...int) circuit.Gate { return circuit.NewGate(circuit.CCZ, q) }
+	type pair struct{ prev, next []circuit.Gate }
+	cases := []pair{
+		{nil, nil},
+		{nil, []circuit.Gate{cz(0, 1)}},
+		{[]circuit.Gate{cz(0, 1)}, nil},
+		// every qubit of a previous gate lands in one next gate
+		{[]circuit.Gate{cz(0, 1), cz(2, 3)}, []circuit.Gate{ccz(3, 1, 0), cz(2, 4)}},
+		{[]circuit.Gate{ccz(0, 1, 2)}, []circuit.Gate{ccz(2, 0, 1)}},
+		// one previous gate shares a qubit with three next gates
+		{[]circuit.Gate{ccz(0, 1, 2), cz(3, 4)}, []circuit.Gate{cz(2, 5), cz(1, 3), cz(0, 4)}},
+	}
+	for _, n := range []int{2, 3, 5, 8, 16, 64, 256} {
+		for range 40 {
+			cases = append(cases, pair{randomStage(r, n), randomStage(r, n)})
+		}
+	}
+	sc := newTransitionScratch(arch.Reference(), 256)
+	for i, c := range cases {
+		want := pairScanReuseMatch(c.prev, c.next)
+		if got := sc.reuseMatch(c.prev, c.next); !slices.Equal(got, want) {
+			t.Fatalf("case %d (%d→%d gates): reuseMatch = %v, pair scan = %v", i, len(c.prev), len(c.next), got, want)
+		}
+		if want := pairScanAdjacency(c.prev, c.next); !slices.EqualFunc(sc.adj, want, slices.Equal) {
+			t.Fatalf("case %d: adjacency = %v, pair scan = %v", i, sc.adj, want)
+		}
 	}
 }
 

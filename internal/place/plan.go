@@ -423,13 +423,9 @@ func (pl *planner) solveTransitionOnce(prev *Step, cur, next []circuit.Gate, use
 	}
 
 	// 1. Reuse matching against the previous stage.
-	sc.reuseOf = sc.reuseOf[:0]
-	for range cur {
-		sc.reuseOf = append(sc.reuseOf, -1)
-	}
-	reuseOf := sc.reuseOf
+	var reuseOf []int
 	if useReuse && prev != nil {
-		reuseOf = reuseMatch(prev.Gates, cur)
+		reuseOf = sc.reuseMatch(prev.Gates, cur)
 	}
 	clear(sc.reserved)
 	clear(sc.stay)
@@ -498,7 +494,7 @@ func (pl *planner) solveTransitionOnce(prev *Step, cur, next []circuit.Gate, use
 		sc.lookahead = append(sc.lookahead, -1)
 	}
 	if useReuse && len(next) > 0 {
-		la := reuseMatch(cur, next)
+		la := sc.reuseMatch(cur, next)
 		for nj, cj := range la {
 			if cj < 0 {
 				continue

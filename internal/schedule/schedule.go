@@ -407,8 +407,9 @@ type moveSpec struct {
 // compatible reports whether two movements can share one AOD sweep: the
 // relative order of their rows and columns must be preserved (AOD tones
 // cannot cross), and coincident begin coordinates must stay coincident
-// (they would share a tone).
-func compatible(a, b moveSpec) bool {
+// (they would share a tone). It takes pointers because the conflict scan
+// calls it for every pair of a phase's moves and reads only from and to.
+func compatible(a, b *moveSpec) bool {
 	return axisCompatible(a.from.X, b.from.X, a.to.X, b.to.X) &&
 		axisCompatible(a.from.Y, b.from.Y, a.to.Y, b.to.Y)
 }
@@ -439,8 +440,9 @@ func groupCompatible(ctx context.Context, workers int, specs []moveSpec) ([][]in
 	conflict := make([]uint64, n*words) // row i, bit j: i and j conflict
 	scan := func(i int) {
 		row := conflict[i*words : (i+1)*words]
+		si := &specs[i]
 		for j := i + 1; j < n; j++ {
-			if !compatible(specs[i], specs[j]) {
+			if !compatible(si, &specs[j]) {
 				row[j/64] |= 1 << (j % 64)
 			}
 		}

@@ -151,8 +151,8 @@ func TestMultiAODShortensSchedule(t *testing.T) {
 }
 
 func TestCompatibility(t *testing.T) {
-	mk := func(x0, y0, x1, y1 float64) moveSpec {
-		return moveSpec{from: geom.Point{X: x0, Y: y0}, to: geom.Point{X: x1, Y: y1}}
+	mk := func(x0, y0, x1, y1 float64) *moveSpec {
+		return &moveSpec{from: geom.Point{X: x0, Y: y0}, to: geom.Point{X: x1, Y: y1}}
 	}
 	// Order preserved in both axes: compatible.
 	if !compatible(mk(0, 0, 10, 10), mk(5, 0, 15, 10)) {
@@ -190,7 +190,7 @@ func TestGroupCompatibleCoversAll(t *testing.T) {
 		total += len(g)
 		for i := 0; i < len(g); i++ {
 			for j := i + 1; j < len(g); j++ {
-				if !compatible(specs[g[i]], specs[g[j]]) {
+				if !compatible(&specs[g[i]], &specs[g[j]]) {
 					t.Fatalf("group contains conflicting moves %d,%d", g[i], g[j])
 				}
 			}
@@ -219,7 +219,7 @@ func TestGroupCompatibleMatchesPairwise(t *testing.T) {
 		conflict := make([]uint64, n*words)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if i != j && !compatible(specs[i], specs[j]) {
+				if i != j && !compatible(&specs[i], &specs[j]) {
 					conflict[i*words+j/64] |= 1 << (j % 64)
 				}
 			}

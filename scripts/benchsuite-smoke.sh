@@ -22,9 +22,11 @@ trap 'rm -rf "$TOOLDIR"' EXIT
 go build -o "$BIN" ./cmd/zac-benchsuite
 
 JV='zac/internal/matching.BenchmarkJVDense'
+# -p 1 runs the two packages' benchmark binaries one after the other, so
+# they do not share the CPU and skew each other's timings.
 for commit in smokeA smokeB; do
   echo "benchsuite-smoke: kernels ($commit)" >&2
-  go test -run xxx -bench 'BenchmarkJV(Dense|Sparse)$|BenchmarkPartitionIntoIndependentSets' -benchmem -benchtime 100ms -count 5 \
+  go test -p 1 -run xxx -bench 'BenchmarkJV(Dense|Sparse)$|BenchmarkPartitionIntoIndependentSets' -benchmem -benchtime 100ms -count 5 \
     ./internal/matching ./internal/graphalgo \
     | tee "$TOOLDIR/$commit.txt" | "$BIN" ingest -store "$STORE" -commit "$commit" >&2
 done
