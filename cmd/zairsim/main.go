@@ -2,16 +2,19 @@
 // `zac -out`), verifies their physical consistency against an architecture,
 // and reports statistics and fidelity under the paper's model — the
 // consumer-side counterpart of the compiler, useful for validating
-// externally generated or hand-edited ZAIR programs. Multiple programs are
-// verified concurrently through the engine's worker pool; reports print in
-// argument order. With -cachedir, verification reports are cached on disk
-// (keyed by program content digest and architecture fingerprint), so
-// re-verifying unchanged programs is free.
+// externally generated or hand-edited ZAIR programs. The fidelity comes
+// from fidelity.StatsOf, the same replay of the program that fills the
+// compiler's own statistics, so for a program `zac -out` wrote it matches
+// the compiler's report, native-CCZ programs on three-trap sites included.
+// Multiple programs are verified concurrently through the engine's worker
+// pool; reports print in argument order. With -cachedir, verification
+// reports are cached on disk (keyed by program content digest and
+// architecture fingerprint), so re-verifying unchanged programs is free.
 //
 // With -selfcheck a built-in benchmark is compiled in-process through the
-// compiler registry (-compiler selects the ZAC preset) and the emitted
-// program is verified immediately — the end-to-end round trip without an
-// intermediate file.
+// compiler registry (-compiler selects the ZAC-family compiler) and the
+// emitted program is verified immediately — the end-to-end round trip
+// without an intermediate file.
 //
 //	zairsim -program bv.zair.json
 //	zairsim -program bv.zair.json -arch custom_arch.json
@@ -45,7 +48,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker pool size for multiple programs (0 = all CPUs)")
 	cacheDir := flag.String("cachedir", "", "persistent report-cache directory")
 	selfcheck := flag.String("selfcheck", "", "compile this built-in benchmark through the compiler registry and verify the emitted program in-process")
-	compilerName := flag.String("compiler", "zac", "registry compiler for -selfcheck (must emit ZAIR: zac, zac-vanilla, zac-dynplace, zac-dynplace-reuse)")
+	compilerName := flag.String("compiler", "zac", "registry compiler for -selfcheck (must emit ZAIR: zac, zac-advreuse, zac-vanilla, zac-dynplace, zac-dynplace-reuse)")
 	flag.Parse()
 
 	cache := engine.NewTiered(0)
@@ -95,7 +98,7 @@ func main() {
 		if err != nil {
 			return "", err
 		}
-		key := fmt.Sprintf("zairsim|prog=%x|arch=%s", sha256.Sum256(data), a.Fingerprint())
+		key := fmt.Sprintf("zairsim.v2|prog=%x|arch=%s", sha256.Sum256(data), a.Fingerprint())
 		return engine.GetTiered(cache, key, engine.JSONCodec[string](), func() (string, error) {
 			return report(paths[i], data, a)
 		})
@@ -160,7 +163,7 @@ func report(path string, data []byte, a *arch.Architecture) (string, error) {
 		return "", fmt.Errorf("%s: verification failed: %w", path, err)
 	}
 
-	stats := replayStats(&prog, a)
+	stats := fidelity.StatsOf(a, &prog)
 	b := fidelity.Compute(core.ParamsFromArch(a), stats)
 	cs := prog.CountStats()
 	var out strings.Builder
@@ -173,68 +176,6 @@ func report(path string, data []byte, a *arch.Architecture) (string, error) {
 	fmt.Fprintf(&out, "fidelity:         %.4f (1Q %.4f · 2Q %.4f · transfer %.4f · decoherence %.4f)\n",
 		b.Total, b.OneQ, b.TwoQ, b.Transfer, b.Decohere)
 	return out.String(), nil
-}
-
-// replayStats reconstructs fidelity statistics from a ZAIR instruction
-// stream. 2Q gate counts come from Rydberg exposures: every pair of qubits
-// sharing a Rydberg site when the laser fires counts as one CZ.
-func replayStats(p *zair.Program, a *arch.Architecture) fidelity.Stats {
-	var st fidelity.Stats
-	st.Duration = p.Duration()
-	st.Busy = make([]float64, p.NumQubits)
-
-	// Track positions to resolve Rydberg pairings.
-	pos := map[int]zair.QLoc{}
-	entSLMs := map[int]int{} // slm id → entanglement zone index
-	for zi, z := range a.Entanglement {
-		for _, s := range z.SLMs {
-			entSLMs[s.ID] = zi
-		}
-	}
-	if init, ok := p.Instructions[0].(zair.Init); ok {
-		for _, l := range init.Locs {
-			pos[l.Q] = l
-		}
-	}
-	for _, inst := range p.Instructions[1:] {
-		switch v := inst.(type) {
-		case zair.OneQGate:
-			for _, l := range v.Locs {
-				st.OneQGates++
-				st.AddBusy(l.Q, a.Times.OneQGate)
-			}
-		case zair.Rydberg:
-			// Pair qubits by (zone, row, col).
-			bySite := map[[3]int][]int{}
-			for q, l := range pos {
-				zi, ok := entSLMs[l.A]
-				if !ok || zi != v.ZoneID {
-					continue
-				}
-				key := [3]int{zi, l.R, l.C}
-				bySite[key] = append(bySite[key], q)
-			}
-			for _, qs := range bySite {
-				if len(qs) == 2 {
-					st.TwoQGates++
-					st.AddBusy(qs[0], a.Times.Rydberg)
-					st.AddBusy(qs[1], a.Times.Rydberg)
-				} else {
-					st.Excited += len(qs)
-				}
-			}
-		case zair.RearrangeJob:
-			dur := v.EndTime - v.BeginTime
-			for r := range v.EndLocs {
-				for _, e := range v.EndLocs[r] {
-					pos[e.Q] = e
-					st.Transfers += 2
-					st.AddBusy(e.Q, dur)
-				}
-			}
-		}
-	}
-	return st
 }
 
 func fatal(err error) {

@@ -237,6 +237,20 @@ func (a *Architecture) ResolveTrap(slmID, row, col int) (geom.Point, error) {
 	return geom.Point{}, fmt.Errorf("unknown SLM %d trap (%d,%d)", slmID, row, col)
 }
 
+// EntanglementZoneOf returns the index in Entanglement of the zone holding
+// SLM array slmID; ok is false for arrays outside every entanglement zone.
+// Its signature matches zair.ZoneOf, the site lookup of a ZAIR replay.
+func (a *Architecture) EntanglementZoneOf(slmID int) (zone int, ok bool) {
+	for zi, z := range a.Entanglement {
+		for _, s := range z.SLMs {
+			if s.ID == slmID {
+				return zi, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // Validate checks structural consistency: non-empty zone lists where needed,
 // site arrays with matching shapes, zones within plausible bounds, and
 // positive hardware parameters.

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 
 	"zac/internal/arch"
@@ -12,6 +14,7 @@ import (
 	"zac/internal/circuit"
 	"zac/internal/core"
 	"zac/internal/resynth"
+	"zac/internal/zair"
 )
 
 // conformanceSubset mirrors the golden determinism corpus (bench_test.go,
@@ -52,10 +55,76 @@ func resultHash(t *testing.T, r *core.Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// checkPulses replays a ZAC-family program and requires its pulses to run
+// the staged circuit. The pulses of one step (consecutive rydberg
+// instructions) pair with the next Rydberg stage that has gates: the atoms
+// sharing each pulsed site must be the qubits of one of its gates, and
+// every gate must get a site. No site may hold more atoms than it has
+// traps, and no atom may sit alone in a pulsed zone (Stats.Excited is 0).
+func checkPulses(a *arch.Architecture, r *core.Result) error {
+	var stages [][]circuit.Gate
+	for _, st := range r.Staged.Stages {
+		if st.Kind == circuit.RydbergStage && len(st.Gates) > 0 {
+			stages = append(stages, st.Gates)
+		}
+	}
+	rp := zair.NewReplay(r.Program)
+	var pulsed []string // the current step's site groups
+	var err error
+	step := 0
+	endStep := func() {
+		if pulsed == nil || err != nil {
+			return
+		}
+		if step >= len(stages) {
+			err = fmt.Errorf("pulse step %d has no Rydberg stage left", step)
+			return
+		}
+		var want []string
+		for _, g := range stages[step] {
+			want = append(want, fmt.Sprint(slices.Sorted(slices.Values(g.Qubits))))
+		}
+		slices.Sort(want)
+		slices.Sort(pulsed)
+		if !slices.Equal(pulsed, want) {
+			err = fmt.Errorf("pulse step %d exposes sites %v, its stage's gates act on %v", step, pulsed, want)
+		}
+		step++
+		pulsed = nil
+	}
+	for _, inst := range r.Program.Instructions {
+		v, ok := inst.(zair.Rydberg)
+		if !ok {
+			endStep()
+			if job, ok := inst.(zair.RearrangeJob); ok {
+				rp.Move(job)
+			}
+			continue
+		}
+		rp.Pulse(v.ZoneID, a.EntanglementZoneOf, func(qs []int) {
+			if slots := a.Entanglement[v.ZoneID].SiteSlots(); len(qs) > slots && err == nil {
+				err = fmt.Errorf("a site of zone %d holds qubits %v, more than its %d traps", v.ZoneID, qs, slots)
+			}
+			pulsed = append(pulsed, fmt.Sprint(slices.Sorted(slices.Values(qs))))
+		})
+	}
+	endStep()
+	switch {
+	case err != nil:
+		return err
+	case step != len(stages):
+		return fmt.Errorf("%d pulse steps for %d Rydberg stages with gates", step, len(stages))
+	case r.Stats.Excited != 0:
+		return fmt.Errorf("%d idle atoms excited", r.Stats.Excited)
+	}
+	return nil
+}
+
 // TestRegistryConformance is the registry-wide contract: every registered
 // compiler compiles the 5-circuit determinism subset, returns a non-nil
 // Program with sane Stats and fidelity, reports per-pass timings, and is
-// deterministic across two runs.
+// deterministic across two runs. A ZAC-family program's pulses must run its
+// staged circuit (checkPulses).
 func TestRegistryConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the five-circuit subset with every registered compiler; skipped in -short")
@@ -93,6 +162,11 @@ func TestRegistryConformance(t *testing.T) {
 					}
 					if len(r.Passes) == 0 {
 						t.Errorf("%s: no pass timings", bn)
+					}
+					if _, zacFamily := Setting(name); zacFamily {
+						if err := checkPulses(target, r); err != nil {
+							t.Errorf("%s: %v", bn, err)
+						}
 					}
 					hashes[run] = resultHash(t, r)
 				}

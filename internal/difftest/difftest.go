@@ -36,10 +36,8 @@ const (
 	// ClassVerify: an emitted ZAIR program failed replay verification
 	// (pickup consistency, AOD exclusivity, tone ordering, …).
 	ClassVerify Class = "verify"
-	// ClassAccounting: replay-derived resource accounting disagrees with
-	// the result's reported counters — qubit conservation broken, or the
-	// instruction stream's individual qubit movements differ from the
-	// plan's TotalMoves.
+	// ClassAccounting: the instruction stream's individual qubit movements
+	// differ from the plan's TotalMoves.
 	ClassAccounting Class = "accounting"
 	// ClassDeterminism: two fresh compilations of the same input were not
 	// byte-identical.

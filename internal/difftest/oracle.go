@@ -395,44 +395,19 @@ func verifyDetail(r *compileResult) string {
 	return ""
 }
 
-// accountingDetail replays the program and cross-checks the result's
-// resource counters: every qubit ends in exactly one distinct trap, and
-// the instruction stream's individual qubit movements match the reported
-// TotalMoves.
+// accountingDetail cross-checks the result's resource counters against the
+// program: the instruction stream's individual qubit movements must match
+// the reported TotalMoves. (That every qubit ends in one distinct trap
+// follows from the verify class: zair.Verifier implies it.)
 func accountingDetail(r *compileResult) string {
 	if r.program == nil || len(r.program.Instructions) == 0 {
 		return ""
 	}
-	final := zair.FinalPositions(r.program)
-	if len(final) != r.program.NumQubits {
-		return fmt.Sprintf("qubit conservation: %d of %d qubits have final positions",
-			len(final), r.program.NumQubits)
-	}
-	traps := map[[3]int]int{}
-	for q, l := range final {
-		key := [3]int{l.A, l.R, l.C}
-		if prev, taken := traps[key]; taken {
-			return fmt.Sprintf("qubit conservation: qubits %d and %d end in the same trap %v", prev, q, key)
-		}
-		traps[key] = q
-	}
-	if moves := replayMoves(r.program); moves != r.totalMoves {
+	if moves := r.program.CountStats().MovedQubits; moves != r.totalMoves {
 		return fmt.Sprintf("move accounting: program replays %d qubit movements, result reports %d",
 			moves, r.totalMoves)
 	}
 	return ""
-}
-
-// replayMoves counts the individual qubit movements of the instruction
-// stream: each rearrangement job moves each of its qubits once.
-func replayMoves(p *zair.Program) int {
-	n := 0
-	for _, inst := range p.Instructions {
-		if job, ok := inst.(zair.RearrangeJob); ok {
-			n += len(job.Qubits())
-		}
-	}
-	return n
 }
 
 // finish minimizes a divergence's circuit with the forge's shrinker, fills

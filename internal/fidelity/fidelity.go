@@ -5,10 +5,16 @@
 //
 // where g1/g2 count 1Q/2Q gates, Nexc counts idle qubits excited by the
 // Rydberg laser, Ntran counts atom transfers, and tq is the idle time of
-// qubit q under a linear decoherence model.
+// qubit q under a linear decoherence model. StatsOf takes those counts from
+// a compiled ZAIR program.
 package fidelity
 
-import "math"
+import (
+	"math"
+
+	"zac/internal/arch"
+	"zac/internal/zair"
+)
 
 // Params holds the per-operation fidelities, durations and coherence time
 // of a platform (Table I rows).
@@ -63,12 +69,46 @@ type Stats struct {
 	Busy     []float64 // per-qubit busy time (gates + transfers + movement), µs
 }
 
-// AddBusy accumulates busy time for qubit q, growing the slice as needed.
-func (s *Stats) AddBusy(q int, t float64) {
-	for len(s.Busy) <= q {
-		s.Busy = append(s.Busy, 0)
+// StatsOf derives the fidelity model's event counts (§VII-B) from a program
+// alone, replaying it on a. Each 1qGate location is one 1Q gate. At a
+// Rydberg pulse, a site holding two or more atoms is one entangling gate
+// and a lone atom in the pulsed zone is an excited idle atom. Each atom a
+// job carries makes two transfers. Busy time accrues per qubit in
+// instruction order: a.Times' 1Q-gate and Rydberg times for the gates it
+// joins, and the job's span for each job that carries it.
+func StatsOf(a *arch.Architecture, p *zair.Program) Stats {
+	st := Stats{Duration: p.Duration(), Busy: make([]float64, p.NumQubits)}
+	rp := zair.NewReplay(p)
+	for _, inst := range p.Instructions {
+		switch v := inst.(type) {
+		case zair.OneQGate:
+			st.OneQGates += len(v.Locs)
+			for _, l := range v.Locs {
+				st.Busy[l.Q] += a.Times.OneQGate
+			}
+		case zair.Rydberg:
+			rp.Pulse(v.ZoneID, a.EntanglementZoneOf, func(qs []int) {
+				if len(qs) == 1 {
+					st.Excited++
+					return
+				}
+				st.TwoQGates++
+				for _, q := range qs {
+					st.Busy[q] += a.Times.Rydberg
+				}
+			})
+		case zair.RearrangeJob:
+			dur := v.EndTime - v.BeginTime
+			for _, row := range v.BeginLocs {
+				for _, l := range row {
+					st.Busy[l.Q] += dur
+					st.Transfers += 2
+				}
+			}
+			rp.Move(v)
+		}
 	}
-	s.Busy[q] += t
+	return st
 }
 
 // Breakdown is the per-term fidelity decomposition reported in the paper's

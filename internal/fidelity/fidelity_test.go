@@ -106,16 +106,6 @@ func TestMoreErrorsLowerFidelity(t *testing.T) {
 	}
 }
 
-func TestAddBusyGrows(t *testing.T) {
-	var s Stats
-	s.AddBusy(3, 5)
-	s.AddBusy(3, 2)
-	s.AddBusy(0, 1)
-	if len(s.Busy) != 4 || s.Busy[3] != 7 || s.Busy[0] != 1 {
-		t.Errorf("Busy = %v", s.Busy)
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := Stats{OneQGates: 1, TwoQGates: 2, Duration: 10, Busy: []float64{1}}
 	b := Stats{OneQGates: 3, Excited: 4, Transfers: 5, Duration: 7, Busy: []float64{2, 3}}
@@ -171,7 +161,10 @@ func merge(s *Stats, other Stats) {
 	if other.Duration > s.Duration {
 		s.Duration = other.Duration
 	}
+	for len(s.Busy) < len(other.Busy) {
+		s.Busy = append(s.Busy, 0)
+	}
 	for q, b := range other.Busy {
-		s.AddBusy(q, b)
+		s.Busy[q] += b
 	}
 }

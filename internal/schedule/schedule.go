@@ -48,7 +48,7 @@ type Options struct {
 const minParallelMoves = 64
 
 // Result is a fully scheduled program plus the statistics the fidelity
-// model consumes.
+// model consumes, which fidelity.StatsOf derives from the program.
 type Result struct {
 	Program *zair.Program
 	Stats   fidelity.Stats
@@ -71,9 +71,7 @@ type scheduler struct {
 	workers int
 
 	prog  zair.Program
-	stats fidelity.Stats
 	clock float64
-	jobs  int
 
 	// Scratch reused by every stage and movement phase of one schedule.
 	unitary map[[3]float64]int // 1Q stage: unitary → group ordinal
@@ -82,12 +80,12 @@ type scheduler struct {
 	built   []builtJob
 	picks   []pickup
 	emitted []zair.RearrangeJob
+	zones   []int
 }
 
 func (s *scheduler) run(ctx context.Context) (*Result, error) {
 	s.prog.Name = s.staged.Name
 	s.prog.NumQubits = s.staged.NumQubits
-	s.stats.Busy = make([]float64, s.staged.NumQubits)
 
 	// Init instruction from the initial placement.
 	init := zair.Init{}
@@ -123,8 +121,7 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 			stepIdx++
 		}
 	}
-	s.stats.Duration = s.clock
-	return &Result{Program: &s.prog, Stats: s.stats, NumJobs: s.jobs}, nil
+	return &Result{Program: &s.prog, Stats: fidelity.StatsOf(s.a, &s.prog), NumJobs: s.prog.CountStats().RearrangeJobs}, nil
 }
 
 // emitOneQStage appends the stage's U3 gates. Gates with the same unitary
@@ -171,10 +168,6 @@ func (s *scheduler) emitOneQStage(st circuit.Stage) {
 		group := locs[offsets[o]:offsets[o+1]:offsets[o+1]]
 		begin := s.clock
 		end := begin + s.a.Times.OneQGate*float64(len(group))
-		for _, l := range group {
-			s.stats.OneQGates++
-			s.stats.AddBusy(l.Q, s.a.Times.OneQGate)
-		}
 		s.prog.Instructions = append(s.prog.Instructions, zair.OneQGate{
 			Unitary:   k,
 			Locs:      group,
@@ -186,27 +179,23 @@ func (s *scheduler) emitOneQStage(st circuit.Stage) {
 }
 
 // emitRydberg fires the Rydberg laser over every entanglement zone that
-// hosts gates in this step (zones fire in parallel — each has its own
-// exposure). Idle qubits inside a firing zone would be excited; ZAC's
-// placement keeps the zones free of idle qubits, so Excited stays zero, but
-// the accounting is kept general for baseline reuse.
+// hosts gates in this step, in ascending zone order (zones fire in parallel
+// — each has its own exposure).
 func (s *scheduler) emitRydberg(step *place.Step) {
-	zones := map[int]bool{}
+	zones := s.zones[:0]
 	for _, site := range step.Sites {
-		zones[site.Zone] = true
+		if !slices.Contains(zones, site.Zone) {
+			zones = append(zones, site.Zone)
+		}
 	}
+	slices.Sort(zones)
+	s.zones = zones
 	begin := s.clock
 	end := begin + s.a.Times.Rydberg
-	for zi := range zones {
+	for _, zi := range zones {
 		s.prog.Instructions = append(s.prog.Instructions, zair.Rydberg{
 			ZoneID: zi, BeginTime: begin, EndTime: end,
 		})
-	}
-	for _, g := range step.Gates {
-		s.stats.TwoQGates++
-		for _, q := range g.Qubits {
-			s.stats.AddBusy(q, s.a.Times.Rydberg)
-		}
 	}
 	s.clock = end
 }
@@ -385,14 +374,6 @@ func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
 	slices.SortStableFunc(emitted, func(x, y zair.RearrangeJob) int { return cmp.Compare(x.BeginTime, y.BeginTime) })
 	for _, j := range emitted {
 		s.prog.Instructions = append(s.prog.Instructions, j)
-		s.jobs++
-		dur := j.EndTime - j.BeginTime
-		for _, row := range j.BeginLocs {
-			for _, l := range row {
-				s.stats.AddBusy(l.Q, dur)
-				s.stats.Transfers += 2
-			}
-		}
 	}
 	s.clock = phaseEnd
 	return nil

@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
@@ -287,7 +289,13 @@ func TestVerifierOnAllArchitectures(t *testing.T) {
 			}
 			verifyProgram(t, a, res.Program)
 			// Every qubit must end in a storage trap.
-			final := zair.FinalPositions(res.Program)
+			rp := zair.NewReplay(res.Program)
+			for _, inst := range res.Program.Instructions {
+				if job, ok := inst.(zair.RearrangeJob); ok {
+					rp.Move(job)
+				}
+			}
+			final := rp.Pos
 			storageIDs := map[int]bool{}
 			for _, z := range a.Storage {
 				for _, s := range z.SLMs {
@@ -344,5 +352,47 @@ func TestRydbergPerZone(t *testing.T) {
 	}
 	if ryd < staged.NumRydbergStages() {
 		t.Errorf("rydberg instructions %d < stages %d", ryd, staged.NumRydbergStages())
+	}
+}
+
+// TestMultiZoneProgramDeterministic schedules one random circuit on two
+// entanglement zones repeatedly. A step that fires both zones emits one
+// rydberg instruction per zone, and their order must not vary between
+// runs: every schedule must encode to the same bytes.
+func TestMultiZoneProgramDeterministic(t *testing.T) {
+	a := arch.Arch2TwoZones()
+	r := rand.New(rand.NewSource(30))
+	c := circuit.New("rand30", 30)
+	for i := 0; i < 90; i++ {
+		p := r.Perm(30)
+		c.Append(circuit.CZ, p[:2])
+	}
+	staged, plan := compilePlan(t, a, c, place.Default())
+	var want [sha256.Size]byte
+	for run := 0; run < 10; run++ {
+		res, err := BuildWithOptions(context.Background(), a, staged, plan, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			ryd := 0
+			for _, in := range res.Program.Instructions {
+				if _, ok := in.(zair.Rydberg); ok {
+					ryd++
+				}
+			}
+			if ryd == staged.NumRydbergStages() {
+				t.Fatal("no step fires both zones; the input does not exercise zone order")
+			}
+		}
+		data, err := json.Marshal(res.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); run == 0 {
+			want = sum
+		} else if sum != want {
+			t.Fatalf("run %d: program hash %x, run 0 gave %x", run, sum, want)
+		}
 	}
 }

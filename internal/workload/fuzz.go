@@ -276,22 +276,6 @@ func checkCompile(ctx context.Context, comp compiler.Compiler) func(*circuit.Cir
 			if err := v.Verify(res.Program); err != nil {
 				return err
 			}
-			// Qubit conservation over the whole program: every qubit ends in
-			// exactly one trap (Verify already pins init and per-job
-			// consistency; this closes the loop end to end).
-			final := zair.FinalPositions(res.Program)
-			if len(final) != res.Program.NumQubits {
-				return fmt.Errorf("qubit conservation: %d of %d qubits have final positions",
-					len(final), res.Program.NumQubits)
-			}
-			traps := map[[3]int]int{}
-			for q, l := range final {
-				key := [3]int{l.A, l.R, l.C}
-				if prev, taken := traps[key]; taken {
-					return fmt.Errorf("qubit conservation: qubits %d and %d end in the same trap %v", prev, q, key)
-				}
-				traps[key] = q
-			}
 		}
 		return nil
 	}

@@ -19,6 +19,12 @@ import (
 //   - trap dependencies hold: a job dropping into a trap begins its drop
 //     only after the job vacating that trap has picked up (Fig. 7a).
 //
+// Together with Program.Validate (the init lists every qubit once, and a job
+// keeps each qubit's identity from pickup to drop) these checks imply that
+// after every instruction each qubit occupies exactly one trap and no trap
+// holds two qubits: a pickup must name the qubit's actual trap, and a drop
+// must land in an empty one.
+//
 // Verify is used by the compiler's tests as an end-to-end safety net and is
 // exported for downstream users who generate or transform ZAIR programs.
 type Verifier struct {
@@ -37,17 +43,15 @@ func (v *Verifier) Verify(p *Program) error {
 		tol = 1e-6
 	}
 
-	pos := make(map[int]QLoc, p.NumQubits) // qubit → trap
-	occ := map[[3]int]int{}                // (A,R,C) → qubit
+	rp := NewReplay(p)
+	occ := map[[3]int]int{} // (A,R,C) → qubit
 	key := func(l QLoc) [3]int { return [3]int{l.A, l.R, l.C} }
 
-	init := p.Instructions[0].(Init)
-	for _, l := range init.Locs {
+	for _, l := range p.Instructions[0].(Init).Locs {
 		if prev, taken := occ[key(l)]; taken {
 			return fmt.Errorf("zair: init places qubits %d and %d in the same trap %v", prev, l.Q, key(l))
 		}
 		occ[key(l)] = l.Q
-		pos[l.Q] = l
 	}
 
 	type window struct{ begin, end float64 }
@@ -85,11 +89,10 @@ func (v *Verifier) Verify(p *Program) error {
 		for r := range job.BeginLocs {
 			for k := range job.BeginLocs[r] {
 				b := job.BeginLocs[r][k]
-				cur, known := pos[b.Q]
-				if !known {
+				if b.Q < 0 || b.Q >= len(rp.Pos) {
 					return fmt.Errorf("zair: %s picks up unknown qubit %d", where, b.Q)
 				}
-				if cur != b {
+				if cur := rp.Pos[b.Q]; cur != b {
 					return fmt.Errorf("zair: %s picks qubit %d from %v but it is at %v", where, b.Q, b, cur)
 				}
 				delete(occ, key(b))
@@ -103,9 +106,9 @@ func (v *Verifier) Verify(p *Program) error {
 						where, e.Q, key(e), prev)
 				}
 				occ[key(e)] = e.Q
-				pos[e.Q] = e
 			}
 		}
+		rp.Move(job)
 
 		// Machine-level move instructions: tones must not cross.
 		for mi, m := range job.Insts {
@@ -163,28 +166,4 @@ func checkToneOrder(begin, end []float64, tol float64) error {
 		}
 	}
 	return nil
-}
-
-// FinalPositions replays the program and returns every qubit's final trap.
-// It assumes the program verifies.
-func FinalPositions(p *Program) map[int]QLoc {
-	pos := map[int]QLoc{}
-	if len(p.Instructions) == 0 {
-		return pos
-	}
-	if init, ok := p.Instructions[0].(Init); ok {
-		for _, l := range init.Locs {
-			pos[l.Q] = l
-		}
-	}
-	for _, inst := range p.Instructions[1:] {
-		if job, ok := inst.(RearrangeJob); ok {
-			for r := range job.EndLocs {
-				for _, e := range job.EndLocs[r] {
-					pos[e.Q] = e
-				}
-			}
-		}
-	}
-	return pos
 }

@@ -136,6 +136,18 @@ func TestVerifyCoincidentTonesDiverge(t *testing.T) {
 	}
 }
 
+// FinalPositions replays every rearrangement job of p and returns each
+// qubit's final trap.
+func FinalPositions(p *Program) []QLoc {
+	rp := NewReplay(p)
+	for _, inst := range p.Instructions {
+		if job, ok := inst.(RearrangeJob); ok {
+			rp.Move(job)
+		}
+	}
+	return rp.Pos
+}
+
 func TestFinalPositions(t *testing.T) {
 	p := validTwoJobProgram()
 	fin := FinalPositions(p)

@@ -214,8 +214,9 @@ func (p *Program) CountStats() Stats {
 func (p *Program) NumZAIRInstructions() int { return len(p.Instructions) }
 
 // Validate performs structural checks: exactly one leading Init covering
-// every qubit, timed instructions with EndTime ≥ BeginTime, and rearrange
-// jobs whose begin/end shapes match.
+// every qubit, timed instructions with EndTime ≥ BeginTime, 1qGate
+// locations naming qubits in range, and rearrange jobs whose begin/end
+// shapes match.
 func (p *Program) Validate() error {
 	if len(p.Instructions) == 0 {
 		return fmt.Errorf("zair: empty program")
@@ -244,6 +245,11 @@ func (p *Program) Validate() error {
 		case OneQGate:
 			if v.EndTime < v.BeginTime {
 				return fmt.Errorf("zair: instruction %d: negative duration", i+1)
+			}
+			for _, l := range v.Locs {
+				if l.Q < 0 || l.Q >= p.NumQubits {
+					return fmt.Errorf("zair: instruction %d: 1qGate qubit %d out of range", i+1, l.Q)
+				}
 			}
 		case Rydberg:
 			if v.EndTime < v.BeginTime {

@@ -72,6 +72,12 @@ func TestValidateRejects(t *testing.T) {
 		t.Error("negative duration accepted")
 	}
 
+	badQubit := sampleProgram()
+	badQubit.Instructions = append(badQubit.Instructions, OneQGate{Locs: []QLoc{{Q: badQubit.NumQubits}}})
+	if badQubit.Validate() == nil {
+		t.Error("1qGate on an out-of-range qubit accepted")
+	}
+
 	shapeMismatch := sampleProgram()
 	j := shapeMismatch.Instructions[1].(RearrangeJob)
 	j.EndLocs = [][]QLoc{{{0, 1, 0, 0}}}
