@@ -30,9 +30,10 @@ bench:
 
 # Compile-path kernel benchmarks with allocation counts: JV matching, the
 # move-grouping partition, SA initial placement, BuildPlan, BuildPlan plus
-# schedule, and preprocessing. The same list bench-regress gates on.
+# schedule, the whole pipeline with scheduling overlapped, and
+# preprocessing. The same list bench-regress gates on.
 bench-micro:
-	$(GO) test -run xxx -bench 'BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched|BenchmarkPreprocess' -benchmem ./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule ./internal/resynth
+	$(GO) test -run xxx -bench 'BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched|BenchmarkStandardOverlap|BenchmarkPreprocess' -benchmem ./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule ./internal/core ./internal/resynth
 
 # Kernel regression gate: the bench-micro list run alternately on a ref
 # (default HEAD) and the working tree on this machine, ingested into the

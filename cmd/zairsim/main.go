@@ -98,7 +98,7 @@ func main() {
 		if err != nil {
 			return "", err
 		}
-		key := fmt.Sprintf("zairsim.v2|prog=%x|arch=%s", sha256.Sum256(data), a.Fingerprint())
+		key := fmt.Sprintf("zairsim.v3|prog=%x|arch=%s", sha256.Sum256(data), a.Fingerprint())
 		return engine.GetTiered(cache, key, engine.JSONCodec[string](), func() (string, error) {
 			return report(paths[i], data, a)
 		})
@@ -173,8 +173,8 @@ func report(path string, data []byte, a *arch.Architecture) (string, error) {
 		prog.NumZAIRInstructions(), cs.OneQGate, cs.Rydberg, cs.RearrangeJobs, cs.MachineInsts)
 	fmt.Fprintf(&out, "moved qubits:     %d (%d transfers)\n", cs.MovedQubits, stats.Transfers)
 	fmt.Fprintf(&out, "duration:         %.3f ms\n", prog.Duration()/1000)
-	fmt.Fprintf(&out, "fidelity:         %.4f (1Q %.4f · 2Q %.4f · transfer %.4f · decoherence %.4f)\n",
-		b.Total, b.OneQ, b.TwoQ, b.Transfer, b.Decohere)
+	fmt.Fprintf(&out, "fidelity:         %.4f (1Q %.4f · 2Q %.4f · excitation %.4f · transfer %.4f · decoherence %.4f)\n",
+		b.Total, b.OneQ, b.TwoQ, b.Excite, b.Transfer, b.Decohere)
 	return out.String(), nil
 }
 

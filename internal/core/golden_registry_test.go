@@ -91,8 +91,13 @@ func registryDigest(t *testing.T, r *core.Result) string {
 // subset the zac compiler's plans and programs must match the hashes
 // TestGoldenDeterminism pins for core.CompileStaged, so the registry seam
 // cannot drift from the direct entry point; every compiler's program,
-// fidelity and duration must match testdata/registry.golden. Run with
-// -update to rewrite the latter; the keys whose values changed are logged.
+// fidelity and duration must match testdata/registry.golden. The forge
+// rows pin both schedule paths to one hash: at Workers 1 the pipeline
+// schedules after placement, at Workers 2 (every forge spec is above the
+// overlap gate) it schedules each step while placement solves the next,
+// and each spec's workers=1 and workers=2 rows must hold the same digest. Run
+// with -update to rewrite the golden; the keys whose values changed are
+// logged.
 func TestRegistryMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden corpus compiles the paper suite; skipped in -short")
@@ -154,6 +159,9 @@ func TestRegistryMatchesGolden(t *testing.T) {
 					t.Fatalf("%s/%s: %v", cname, spec, err)
 				}
 				got[fmt.Sprintf("%s/%s/workers=%d", cname, spec, workers)] = registryDigest(t, res)
+			}
+			if w1, w2 := got[cname+"/"+spec+"/workers=1"], got[cname+"/"+spec+"/workers=2"]; w1 != w2 {
+				t.Errorf("%s/%s: overlapped schedule differs from sequential\n  workers=1: %s\n  workers=2: %s", cname, spec, w1, w2)
 			}
 		}
 	}

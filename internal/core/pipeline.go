@@ -8,6 +8,7 @@ import (
 	"zac/internal/arch"
 	"zac/internal/circuit"
 	"zac/internal/cover"
+	"zac/internal/engine"
 	"zac/internal/faultinject"
 	"zac/internal/fidelity"
 	"zac/internal/place"
@@ -35,6 +36,9 @@ type PassState struct {
 	Result *Result
 
 	start time.Time
+	// overlap is the scheduler PlacePass started on its own goroutine, nil
+	// until it starts and again once SchedulePass or Run has joined it.
+	overlap *overlappedSchedule
 }
 
 // Pass is one named stage of the compilation pipeline.
@@ -45,7 +49,7 @@ type Pass struct {
 
 // Pipeline is an ordered chain of named passes over a shared PassState,
 // instrumented with per-pass wall-clock timings and cancellable between
-// passes (and, through BuildPlan and schedule.BuildWithOptions, within the expensive
+// passes (and, through placement and scheduling, within the expensive
 // ones).
 type Pipeline struct {
 	passes []Pass
@@ -71,10 +75,34 @@ func ValidatePass() Pass {
 	}}
 }
 
-// PlacePass runs reuse-aware placement (§V).
+// minOverlapTwoQGates is the 2Q gate count from which PlacePass schedules
+// each step while placement solves the next. Below it, the hand-off per
+// step costs more than the overlap saves: the paper circuits have at most
+// 306 2Q gates, the forge-scale specs 768 to 2,560.
+const minOverlapTwoQGates = 512
+
+// PlacePass runs reuse-aware placement (§V). With more than one worker
+// (Options.Place.Workers) and at least minOverlapTwoQGates 2Q gates, it
+// also starts the scheduler on its own goroutine at the first final step
+// and hands it each step as placement finishes it, so the schedule pass
+// only waits for the last steps.
 func PlacePass() Pass {
 	return Pass{Name: "place", Run: func(ctx context.Context, st *PassState) error {
-		plan, err := place.BuildPlan(ctx, st.Arch, st.Staged, st.Opts.Place)
+		var final func(*place.Plan, *place.Step)
+		if engine.Workers(st.Opts.Place.Workers) > 1 {
+			if _, twoQ := st.Staged.GateCounts(); twoQ >= minOverlapTwoQGates {
+				final = func(plan *place.Plan, step *place.Step) {
+					if st.overlap == nil {
+						st.overlap = startSchedule(ctx, st, plan.Initial)
+					}
+					st.overlap.steps <- step
+				}
+			}
+		}
+		plan, err := place.StreamPlan(ctx, st.Arch, st.Staged, st.Opts.Place, final)
+		if st.overlap != nil {
+			close(st.overlap.steps)
+		}
 		if err != nil {
 			return err
 		}
@@ -84,18 +112,76 @@ func PlacePass() Pass {
 }
 
 // SchedulePass runs load-balancing scheduling (§VI), turning the plan into
-// a timed ZAIR program. It shares the placement pass's worker budget
-// (Options.Place.Workers) so one compile never exceeds its allowance.
+// a timed ZAIR program. When PlacePass started the scheduler, it waits for
+// that goroutine's result; otherwise it schedules the finished plan.
 func SchedulePass() Pass {
 	return Pass{Name: "schedule", Run: func(ctx context.Context, st *PassState) error {
-		sched, err := schedule.BuildWithOptions(ctx, st.Arch, st.Staged, st.Plan,
-			schedule.Options{Workers: st.Opts.Place.Workers})
+		var sched *schedule.Result
+		var err error
+		if o := st.overlap; o != nil {
+			st.overlap = nil
+			sched, err = o.wait()
+		} else {
+			sched, err = schedule.BuildWithOptions(ctx, st.Arch, st.Staged, st.Plan,
+				schedule.Options{Workers: st.Opts.Place.Workers})
+		}
 		if err != nil {
 			return err
 		}
 		st.Sched = sched
 		return nil
 	}}
+}
+
+// overlappedSchedule is a scheduler running on its own goroutine over the
+// steps placement hands it through steps.
+type overlappedSchedule struct {
+	steps  chan *place.Step
+	cancel context.CancelFunc
+	done   chan struct{}
+	res    *schedule.Result
+	err    error
+}
+
+// startSchedule starts schedule.Stream on its own goroutine, under a
+// context that the compile's cancels and that stop cancels too. steps holds
+// one slot per Rydberg stage, so placement never blocks on it, even after
+// the scheduler has stopped early. The goroutine's "schedule.overlap" span
+// sits under pass.place.
+func startSchedule(ctx context.Context, st *PassState, initial []arch.TrapRef) *overlappedSchedule {
+	ctx, cancel := context.WithCancel(ctx)
+	o := &overlappedSchedule{
+		steps:  make(chan *place.Step, st.Staged.NumRydbergStages()),
+		cancel: cancel,
+		done:   make(chan struct{}),
+	}
+	a, staged := st.Arch, st.Staged
+	go func() {
+		defer close(o.done)
+		ctx, span := telemetry.Start(ctx, "schedule.overlap")
+		defer span.End()
+		o.res, o.err = schedule.Stream(ctx, a, staged, initial, func(yield func(*place.Step) bool) {
+			for step := range o.steps {
+				if !yield(step) {
+					return
+				}
+			}
+		})
+	}()
+	return o
+}
+
+// wait joins the scheduler and returns its result.
+func (o *overlappedSchedule) wait() (*schedule.Result, error) {
+	<-o.done
+	o.cancel()
+	return o.res, o.err
+}
+
+// stop cancels the scheduler and joins it, discarding its result.
+func (o *overlappedSchedule) stop() {
+	o.cancel()
+	<-o.done
 }
 
 // EmitPass assembles the Result from the plan and schedule. CompileTime is
@@ -137,9 +223,16 @@ func FidelityPass() Pass {
 // plan (internal/faultinject) at points "pass.<name>", so the chaos suite
 // can delay or fail compilations at any stage seam; compilations without a
 // plan pay one nil check per pass. When the context carries a telemetry
-// trace (internal/telemetry), each pass records a "pass.<name>" span.
+// trace (internal/telemetry), each pass records a "pass.<name>" span. A
+// scheduler PlacePass started that no pass joined is cancelled and joined
+// before Run returns, so no goroutine outlives it.
 func (p *Pipeline) Run(ctx context.Context, staged *circuit.Staged, a *arch.Architecture, opts Options) (*Result, error) {
 	st := &PassState{Arch: a, Staged: staged, Opts: opts, start: time.Now()}
+	defer func() {
+		if st.overlap != nil {
+			st.overlap.stop()
+		}
+	}()
 	cov := cover.From(ctx)
 	fip := faultinject.From(ctx)
 	timings := make([]PassTiming, 0, len(p.passes))

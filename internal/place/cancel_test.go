@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,9 +16,12 @@ import (
 	"zac/internal/arch"
 	"zac/internal/bench"
 	"zac/internal/circuit"
+	"zac/internal/core"
+	"zac/internal/faultinject"
 	"zac/internal/place"
 	"zac/internal/resynth"
-	"zac/internal/schedule"
+	"zac/internal/telemetry"
+	"zac/internal/workload"
 )
 
 func stagedBench(t testing.TB, name string) *circuit.Staged {
@@ -149,57 +153,144 @@ func TestBuildPlanCancelParallel(t *testing.T) {
 	}
 }
 
-// TestScheduleCancelParallel aborts the schedule pass at each of its
-// context checks in turn. ising_n98 is the paper circuit whose movement
-// phases reach the conflict graph's parallel threshold, so at Workers=4
-// the row scan fans out to goroutines that check the caller's context row
-// by row, and the sweep cancels them mid-scan; at Workers=1 every check
-// runs on the calling goroutine and each one must abort the run. Every
-// abort reports context.Canceled and leaks no worker, and a pre-cancelled
-// context never starts.
-func TestScheduleCancelParallel(t *testing.T) {
+// overlapSpec is a forge-scale spec above the 2Q gate count from which
+// core's pipeline schedules each placement step on its own goroutine while
+// placement solves the next one.
+const overlapSpec = "qaoa:n=128,p=2,seed=1"
+
+// overlapInput is overlapSpec split to the reference architecture's site
+// capacity, as perfbench's forge-scale splits it.
+func overlapInput(t *testing.T) (*arch.Architecture, *circuit.Staged) {
+	t.Helper()
 	a := arch.Reference()
-	staged := stagedBench(t, "ising_n98")
-	plan, err := place.BuildPlan(context.Background(), a, staged, place.Default())
+	c, err := workload.Build(overlapSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
+	staged, err := resynth.Preprocess(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, circuit.SplitRydbergStages(staged, a.TotalSites())
+}
+
+// overlapOptions is full ZAC at the given worker budget, with a short
+// anneal: the sweeps below compile once per context check.
+func overlapOptions(workers int) core.Options {
+	o := core.Default()
+	o.Place.SAIterations = 50
+	o.Place.Workers = workers
+	return o
+}
+
+// runTraced compiles under a fresh trace and reports whether the compile
+// scheduled on its own goroutine: the "schedule.overlap" span records that
+// the goroutine ran and ended.
+func runTraced(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, opts core.Options) (overlapped bool, err error) {
+	rec := telemetry.NewRecorder(1)
+	ctx, root := rec.StartTrace(ctx, "compile")
+	_, err = core.Standard().Run(ctx, staged, a, opts)
+	root.End()
+	for _, td := range rec.Dump() {
+		for _, sp := range td.Spans {
+			overlapped = overlapped || sp.Name == "schedule.overlap"
+		}
+	}
+	return overlapped, err
+}
+
+// TestPipelineCancelOverlap aborts a core.Standard compile of overlapSpec
+// at each of its context checks in turn. At Workers=2 the pipeline
+// schedules each step on its own goroutine while placement solves the
+// next, under a context the compile's cancels; at Workers=1 it schedules
+// after placement on the calling goroutine. Either way every context check
+// runs on the calling goroutine (the scheduler's derived context answers
+// its own), so each one must abort the compile with context.Canceled, and
+// no goroutine may outlive Run. A pre-cancelled context never starts.
+func TestPipelineCancelOverlap(t *testing.T) {
+	a, staged := overlapInput(t)
+	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := schedule.Options{Workers: workers}
+			opts := overlapOptions(workers)
 			baseline := runtime.NumGoroutine()
+
+			overlapped, err := runTraced(context.Background(), a, staged, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if overlapped != (workers > 1) {
+				t.Fatalf("Workers=%d: scheduler on its own goroutine = %v", workers, overlapped)
+			}
 
 			pre, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := schedule.BuildWithOptions(pre, a, staged, plan, opts); !errors.Is(err, context.Canceled) {
-				t.Fatalf("pre-cancelled schedule: err = %v, want context.Canceled", err)
+			if _, err := core.Standard().Run(pre, staged, a, opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-cancelled compile: err = %v, want context.Canceled", err)
 			}
 
-			// A full run counts the checks the sweep will cancel at, and
-			// shows whether the parallel conflict graph ran at all.
+			// A full run counts the checks the sweep will cancel at.
 			full := newCountdownCtx(math.MaxInt64)
-			if _, err := schedule.BuildWithOptions(full, a, staged, plan, opts); err != nil {
+			if _, err := core.Standard().Run(full, staged, a, opts); err != nil {
 				t.Fatal(err)
 			}
 			checks, waits, onWorkers := full.calls.Load(), full.doneCalls.Load(), full.workerChecks.Load()
-			t.Logf("full run: %d context checks (%d on workers), %d waits from other goroutines", checks, onWorkers, waits)
-			if workers == 1 && (waits != 0 || onWorkers != 0) {
-				t.Error("Workers=1 schedule used its context from another goroutine")
+			t.Logf("full run: %d context checks (%d on other goroutines), %d waits", checks, onWorkers, waits)
+			if onWorkers != 0 {
+				t.Error("the compile checked its context on another goroutine")
 			}
-			if workers > 1 && (waits == 0 || onWorkers == 0) {
-				t.Fatal("Workers=4 schedule never checked its context on a conflict-graph worker")
+			if (waits != 0) != (workers > 1) {
+				t.Errorf("Workers=%d: %d waits on the compile's context, want them only when scheduling overlaps", workers, waits)
 			}
 
 			for k := int64(1); k <= checks; k++ {
-				_, err := schedule.BuildWithOptions(newCountdownCtx(k), a, staged, plan, opts)
-				if err != nil && !errors.Is(err, context.Canceled) {
-					t.Fatalf("cancelled at check %d: err = %v, want context.Canceled or nil", k, err)
-				}
-				if workers == 1 && err == nil {
-					t.Fatalf("cancelled at check %d of %d: schedule finished", k, checks)
+				if _, err := core.Standard().Run(newCountdownCtx(k), staged, a, opts); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled at check %d of %d: err = %v, want context.Canceled", k, checks, err)
 				}
 			}
 			settleGoroutines(t, baseline)
 		})
 	}
+}
+
+// TestPipelineFaultAtScheduleJoinsScheduler fails the compile at the
+// schedule pass's boundary, after placement has handed every step to the
+// overlapped scheduler: Run must return the injected fault and cancel and
+// join that scheduler first.
+func TestPipelineFaultAtScheduleJoinsScheduler(t *testing.T) {
+	a, staged := overlapInput(t)
+	baseline := runtime.NumGoroutine()
+	plan := faultinject.NewPlan(1, faultinject.Rule{Point: "pass.schedule", Hits: []uint64{1}, Kind: faultinject.KindError})
+	overlapped, err := runTraced(faultinject.With(context.Background(), plan), a, staged, overlapOptions(2))
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want the injected fault", err)
+	}
+	if !overlapped {
+		t.Fatal("the scheduler never ran on its own goroutine")
+	}
+	settleGoroutines(t, baseline)
+}
+
+// TestPipelinePlacementErrorJoinsScheduler appends to overlapSpec a last
+// Rydberg stage with one gate more than the architecture has sites, so
+// placement fails at its last transition, after it has handed the
+// overlapped scheduler every step but the one before. Run must return the
+// placement error and cancel and join that scheduler first.
+func TestPipelinePlacementErrorJoinsScheduler(t *testing.T) {
+	a, staged := overlapInput(t)
+	over := *staged
+	last := circuit.Stage{Kind: circuit.RydbergStage}
+	for i := 0; i <= a.TotalSites(); i++ {
+		last.Gates = append(last.Gates, circuit.NewGate(circuit.CZ, []int{2 * i, 2*i + 1}))
+	}
+	over.NumQubits = max(over.NumQubits, 2*len(last.Gates))
+	over.Stages = append(slices.Clip(over.Stages), last)
+	baseline := runtime.NumGoroutine()
+	overlapped, err := runTraced(context.Background(), a, &over, overlapOptions(2))
+	if err == nil || !strings.Contains(err.Error(), "cannot place") {
+		t.Fatalf("err = %v, want a placement error", err)
+	}
+	if !overlapped {
+		t.Fatal("the scheduler never ran on its own goroutine")
+	}
+	settleGoroutines(t, baseline)
 }

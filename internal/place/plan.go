@@ -181,6 +181,18 @@ func newPlanner(a *arch.Architecture, numQubits int, opts Options, initial []arc
 // cancellation never alters the produced plan, only whether one is
 // produced.
 func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, opts Options) (*Plan, error) {
+	return StreamPlan(ctx, a, staged, opts, nil)
+}
+
+// StreamPlan is BuildPlan that also hands each step to final, in order and
+// on the calling goroutine, as soon as no later transition changes it: step
+// t once transition t+1 commits its returns, the last step after the final
+// returns. plan is the plan under construction. Until StreamPlan returns,
+// final's consumers may read plan.Initial and the steps already handed out,
+// but not plan.Steps, which is still being appended to; its capacity is the
+// Rydberg stage count, so the handed-out pointers stay valid. A nil final
+// hands out nothing.
+func StreamPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, opts Options, final func(plan *Plan, step *Step)) (*Plan, error) {
 	opts.fill()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -214,8 +226,9 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 	}
 
 	pl := newPlanner(a, staged.NumQubits, opts, initial, occ, cov)
-	plan := &Plan{Arch: a, Staged: staged, NumQubits: staged.NumQubits, Initial: initial}
 	ryd := staged.RydbergStages()
+	plan := &Plan{Arch: a, Staged: staged, NumQubits: staged.NumQubits, Initial: initial,
+		Steps: make([]Step, 0, len(ryd))}
 	for t, si := range ryd {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -263,6 +276,9 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 			Reused:   sol.reused,
 			MovesIn:  sol.movesIn,
 		})
+		if prev != nil && final != nil {
+			final(plan, prev)
+		}
 	}
 
 	// Final returns: everything still in the entanglement zone goes home.
@@ -275,6 +291,9 @@ func BuildPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Staged
 		}
 		pl.applyReturns(sol)
 		last.MovesOut = sol
+		if final != nil {
+			final(plan, last)
+		}
 	}
 	return plan, nil
 }

@@ -21,31 +21,28 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"iter"
 	"math/bits"
 	"slices"
 
 	"zac/internal/arch"
 	"zac/internal/circuit"
-	"zac/internal/engine"
 	"zac/internal/fidelity"
 	"zac/internal/geom"
 	"zac/internal/graphalgo"
 	"zac/internal/place"
-	"zac/internal/telemetry"
 	"zac/internal/zair"
 )
 
 // Options tunes how a schedule is computed, never what it contains: any
 // Options value produces byte-identical programs.
 type Options struct {
-	// Workers bounds the goroutines used to build the movement conflict
-	// graphs; non-positive selects all cores.
+	// Workers is the compile's goroutine budget; non-positive selects all
+	// cores. The scheduler itself always runs on one goroutine: above one
+	// worker, core's pipeline gives it its own, overlapped with placement
+	// (see Stream), and BuildWithOptions runs it on the caller's.
 	Workers int
 }
-
-// minParallelMoves is the movement-phase size below which the conflict graph
-// is built sequentially: tiny phases cost less than the fan-out.
-const minParallelMoves = 64
 
 // Result is a fully scheduled program plus the statistics the fidelity
 // model consumes, which fidelity.StatsOf derives from the program.
@@ -55,20 +52,32 @@ type Result struct {
 	NumJobs int
 }
 
-// BuildWithOptions is Build with an explicit worker budget.
+// BuildWithOptions schedules a finished plan on the calling goroutine.
 func BuildWithOptions(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, plan *place.Plan, opts Options) (*Result, error) {
+	return Stream(ctx, a, staged, plan.Initial, func(yield func(*place.Step) bool) {
+		for i := range plan.Steps {
+			if !yield(&plan.Steps[i]) {
+				return
+			}
+		}
+	})
+}
+
+// Stream schedules a plan whose steps arrive one at a time: initial is its
+// initial placement, and steps yields its steps in order, one per Rydberg
+// stage. Stream reads nothing of the plan but these, so it can consume
+// place.StreamPlan's steps while placement solves the later ones.
+func Stream(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, initial []arch.TrapRef, steps iter.Seq[*place.Step]) (*Result, error) {
 	if len(a.AODs) == 0 {
 		return nil, fmt.Errorf("schedule: architecture has no AODs")
 	}
-	s := &scheduler{a: a, staged: staged, plan: plan, workers: engine.Workers(opts.Workers)}
-	return s.run(ctx)
+	s := &scheduler{a: a, staged: staged}
+	return s.run(ctx, initial, steps)
 }
 
 type scheduler struct {
-	a       *arch.Architecture
-	staged  *circuit.Staged
-	plan    *place.Plan
-	workers int
+	a      *arch.Architecture
+	staged *circuit.Staged
 
 	prog  zair.Program
 	clock float64
@@ -83,45 +92,65 @@ type scheduler struct {
 	zones   []int
 }
 
-func (s *scheduler) run(ctx context.Context) (*Result, error) {
+func (s *scheduler) run(ctx context.Context, initial []arch.TrapRef, steps iter.Seq[*place.Step]) (*Result, error) {
 	s.prog.Name = s.staged.Name
 	s.prog.NumQubits = s.staged.NumQubits
 
 	// Init instruction from the initial placement.
 	init := zair.Init{}
-	for q, t := range s.plan.Initial {
+	for q, t := range initial {
 		init.Locs = append(init.Locs, s.trapQLoc(q, t))
 	}
 	s.prog.Instructions = append(s.prog.Instructions, init)
 
-	// Walk stages; plan steps align with Rydberg stages in order.
-	stepIdx := 0
-	for si, st := range s.staged.Stages {
-		if err := ctx.Err(); err != nil {
+	// Walk stages; plan steps align with Rydberg stages in order. Each step
+	// emits the 1Q stages before its own, and the stages after the last
+	// step follow the loop.
+	si, stepIdx := 0, 0
+	for step := range steps {
+		ryd, err := s.emitOneQStages(ctx, si)
+		if err != nil {
 			return nil, err
 		}
-		switch st.Kind {
-		case circuit.OneQStage:
-			s.emitOneQStage(st)
-		case circuit.RydbergStage:
-			if stepIdx >= len(s.plan.Steps) {
-				return nil, fmt.Errorf("schedule: plan has %d steps but stage %d is Rydberg", len(s.plan.Steps), si)
-			}
-			step := &s.plan.Steps[stepIdx]
-			if step.StageIdx != si {
-				return nil, fmt.Errorf("schedule: plan step %d maps to stage %d, expected %d", stepIdx, step.StageIdx, si)
-			}
-			if err := s.emitMovePhase(ctx, step.MovesIn); err != nil {
-				return nil, err
-			}
-			s.emitRydberg(step)
-			if err := s.emitMovePhase(ctx, step.MovesOut); err != nil {
-				return nil, err
-			}
-			stepIdx++
+		if step.StageIdx != ryd {
+			return nil, fmt.Errorf("schedule: plan step %d maps to stage %d, expected %d", stepIdx, step.StageIdx, ryd)
 		}
+		if err := s.emitMovePhase(step.MovesIn); err != nil {
+			return nil, err
+		}
+		s.emitRydberg(step)
+		if err := s.emitMovePhase(step.MovesOut); err != nil {
+			return nil, err
+		}
+		si = ryd + 1
+		stepIdx++
+	}
+	ryd, err := s.emitOneQStages(ctx, si)
+	if err != nil {
+		return nil, err
+	}
+	if ryd < len(s.staged.Stages) {
+		return nil, fmt.Errorf("schedule: plan has %d steps but stage %d is Rydberg", stepIdx, ryd)
 	}
 	return &Result{Program: &s.prog, Stats: fidelity.StatsOf(s.a, &s.prog), NumJobs: s.prog.CountStats().RearrangeJobs}, nil
+}
+
+// emitOneQStages emits the 1Q stages from stage si on and returns the index
+// of the first Rydberg stage it reaches, or the stage count if none. The
+// context is checked before each stage it reaches, that Rydberg stage
+// included.
+func (s *scheduler) emitOneQStages(ctx context.Context, si int) (int, error) {
+	for ; si < len(s.staged.Stages); si++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		st := s.staged.Stages[si]
+		if st.Kind == circuit.RydbergStage {
+			break
+		}
+		s.emitOneQStage(st)
+	}
+	return si, nil
 }
 
 // emitOneQStage appends the stage's U3 gates. Gates with the same unitary
@@ -203,7 +232,7 @@ func (s *scheduler) emitRydberg(step *place.Step) {
 // emitMovePhase groups the phase's movements into AOD-compatible
 // rearrangement jobs, load-balances them across AODs (longest job first to
 // the earliest-available AOD), and advances the clock to the phase makespan.
-func (s *scheduler) emitMovePhase(ctx context.Context, moves []place.Move) error {
+func (s *scheduler) emitMovePhase(moves []place.Move) error {
 	if len(moves) == 0 {
 		return nil
 	}
@@ -218,11 +247,7 @@ func (s *scheduler) emitMovePhase(ctx context.Context, moves []place.Move) error
 		})
 	}
 	s.specs = specs
-	groups, gerr := groupCompatible(ctx, s.workers, specs)
-	if gerr != nil {
-		return gerr
-	}
-	err := s.emitJobsForGroups(specs, groups)
+	err := s.emitJobsForGroups(specs, groupCompatible(specs))
 	if err == errCyclicJobs {
 		// Bundling created a job-level dependency cycle even though the
 		// move-level graph is acyclic (the placement guarantees that).
@@ -410,41 +435,19 @@ func axisCompatible(a0, b0, a1, b1 float64) bool {
 // compatible movements using repeated maximal independent sets over the
 // conflict graph (paper §VI, following Enola's O(n² log n) approach). The
 // O(n²) compatibility scan fills the upper triangle of a conflict bit
-// matrix, one row per move; on wide phases the rows fan out to workers
-// goroutines, each row owned by one, and each row first checks the
-// caller's context. The lower triangle is then mirrored in place, so the
-// partition reads the same symmetric matrix (and the program bytes are the
-// same) at any worker count.
-func groupCompatible(ctx context.Context, workers int, specs []moveSpec) ([][]int, error) {
+// matrix, one row per move; the lower triangle is then mirrored in place,
+// so the partition reads a symmetric matrix.
+func groupCompatible(specs []moveSpec) [][]int {
 	n := len(specs)
 	words := (n + 63) / 64
 	conflict := make([]uint64, n*words) // row i, bit j: i and j conflict
-	scan := func(i int) {
+	for i := range specs {
 		row := conflict[i*words : (i+1)*words]
 		si := &specs[i]
 		for j := i + 1; j < n; j++ {
 			if !compatible(si, &specs[j]) {
 				row[j/64] |= 1 << (j % 64)
 			}
-		}
-	}
-	if workers > 1 && n >= minParallelMoves {
-		wctx, span := telemetry.Start(ctx, "schedule.conflict_graph")
-		span.SetInt("moves", n)
-		span.SetInt("workers", workers)
-		defer span.End()
-		if err := engine.ForEach(wctx, workers, n, func(i int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			scan(i)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			scan(i)
 		}
 	}
 	// Bottom row first: row i still holds only its upper triangle when its
@@ -457,7 +460,7 @@ func groupCompatible(ctx context.Context, workers int, specs []moveSpec) ([][]in
 			}
 		}
 	}
-	return graphalgo.PartitionIntoIndependentSets(n, conflict), nil
+	return graphalgo.PartitionIntoIndependentSets(n, conflict)
 }
 
 // trapQLoc renders a storage trap as a ZAIR qloc.

@@ -183,10 +183,7 @@ func TestGroupCompatibleCoversAll(t *testing.T) {
 		{from: geom.Point{X: 5, Y: 0}, to: geom.Point{X: 2, Y: 10}},  // crosses 0
 		{from: geom.Point{X: 9, Y: 0}, to: geom.Point{X: 20, Y: 10}}, // compatible with 0
 	}
-	groups, err := groupCompatible(context.Background(), 1, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := groupCompatible(specs)
 	total := 0
 	for _, g := range groups {
 		total += len(g)
@@ -207,7 +204,7 @@ func TestGroupCompatibleCoversAll(t *testing.T) {
 }
 
 // TestGroupCompatibleMatchesPairwise checks the conflict bit matrix across
-// word boundaries: serial and parallel scans, with the lower triangle
+// word boundaries: the upper-triangle scan, with the lower triangle
 // mirrored in place, must give the groups of the plain pairwise matrix.
 func TestGroupCompatibleMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
@@ -227,14 +224,8 @@ func TestGroupCompatibleMatchesPairwise(t *testing.T) {
 			}
 		}
 		want := graphalgo.PartitionIntoIndependentSets(n, conflict)
-		for _, workers := range []int{1, 2} {
-			got, err := groupCompatible(context.Background(), workers, specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
-				t.Fatalf("n=%d workers=%d: groups %v, pairwise %v", n, workers, got, want)
-			}
+		if got := groupCompatible(specs); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("n=%d: groups %v, pairwise %v", n, got, want)
 		}
 	}
 }

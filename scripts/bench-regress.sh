@@ -29,7 +29,8 @@
 #   BENCH_ALPHA          Mann-Whitney significance level (default 0.05)
 #   BENCH_MIN_DELTA_PCT  practical-significance floor in percent (default 3)
 #   PATTERN              go test -bench regexp (default: the preprocessing,
-#                        placement and scheduling kernels below)
+#                        placement and scheduling kernels and the whole
+#                        pipeline, below)
 #   PKGS                 packages holding them
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,8 +39,8 @@ REF="${1:-HEAD}"
 STORE="${BENCH_STORE:-.zac-benchstore}"
 REPS="${BENCH_REPS:-10}"
 BENCHTIME="${BENCHTIME:-200ms}"
-PATTERN="${PATTERN:-BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched|BenchmarkPreprocess}"
-PKGS="${PKGS:-./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule ./internal/resynth}"
+PATTERN="${PATTERN:-BenchmarkJVDense|BenchmarkJVSparse|BenchmarkJVSparseReturns|BenchmarkPartitionIntoIndependentSets|BenchmarkSAInitial|BenchmarkBuildPlan|BenchmarkBuildPlanSched|BenchmarkStandardOverlap|BenchmarkPreprocess}"
+PKGS="${PKGS:-./internal/matching ./internal/graphalgo ./internal/place ./internal/schedule ./internal/core ./internal/resynth}"
 
 REF_SHA="$(git rev-parse --verify --quiet "$REF^{commit}")" || {
   echo "bench-regress: $REF is not a commit" >&2
