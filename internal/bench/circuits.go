@@ -120,6 +120,8 @@ func Cat(n int) *circuit.Circuit {
 // high-parallelism workload of the paper's discussion (§VII-C).
 func Ising(n, layers int) *circuit.Circuit {
 	c := circuit.New(fmt.Sprintf("ising_n%d", n), n)
+	// n H gates, then per layer n−1 RZZ and n RX gates
+	c.Gates = make([]circuit.Gate, 0, n+layers*max(0, 2*n-1))
 	const (
 		dt = 0.1
 		j  = 1.0

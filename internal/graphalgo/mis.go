@@ -21,25 +21,44 @@ import "math/bits"
 // live (decremented as neighbours leave), a stable counting sort orders the
 // round, and a round stamp marks blocked vertices.
 func PartitionIntoIndependentSets(n int, conflict []uint64) [][]int {
+	return new(Partitioner).Partition(n, conflict)
+}
+
+// Partitioner runs PartitionIntoIndependentSets on working arrays it keeps
+// between calls, so that after warm-up a partition allocates nothing. A
+// zero Partitioner is ready to use; it must not be used concurrently.
+type Partitioner struct {
+	deg, live, order, count, blocked, buf []int
+	grouped                               []bool
+	groups                                [][]int
+}
+
+// Partition is PartitionIntoIndependentSets. The groups it returns are
+// owned by p and valid until the next Partition.
+func (p *Partitioner) Partition(n int, conflict []uint64) [][]int {
 	words := (n + 63) / 64
-	deg := make([]int, n) // degree induced by the live vertices
+	deg := resize(p.deg, n) // degree induced by the live vertices
 	maxDeg := 0
 	for v := range deg {
+		deg[v] = 0
 		for _, word := range conflict[v*words : (v+1)*words] {
 			deg[v] += bits.OnesCount64(word)
 		}
 		maxDeg = max(maxDeg, deg[v])
 	}
-	live := make([]int, n) // ungrouped vertices, ascending
+	live := resize(p.live, n) // ungrouped vertices, ascending
 	for v := range live {
 		live[v] = v
 	}
-	order := make([]int, n)
-	count := make([]int, maxDeg+1)
-	blocked := make([]int, n) // round that blocked v; 0 = none
-	grouped := make([]bool, n)
-	buf := make([]int, n) // every group is carved out of buf
-	var groups [][]int
+	order := resize(p.order, n)
+	count := resize(p.count, maxDeg+1)
+	blocked := resize(p.blocked, n) // round that blocked v; 0 = none
+	clear(blocked)
+	grouped := resize(p.grouped, n)
+	clear(grouped)
+	buf := resize(p.buf, n) // every group is carved out of buf
+	p.deg, p.live, p.order, p.count, p.blocked, p.grouped, p.buf = deg, live, order, count, blocked, grouped, buf
+	groups := p.groups[:0]
 	for round := 1; len(live) > 0; round++ {
 		top := 0
 		for _, v := range live {
@@ -85,5 +104,15 @@ func PartitionIntoIndependentSets(n int, conflict []uint64) [][]int {
 		buf = buf[len(group):]
 		live = rest
 	}
+	p.groups = groups
 	return groups
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -3,6 +3,7 @@ package matching
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -59,7 +60,7 @@ func validMatching(t *testing.T, adj [][]int, nRight int, matchL []int) {
 
 func TestHopcroftKarpSmall(t *testing.T) {
 	adj := [][]int{{0, 1}, {0}, {1, 2}}
-	matchL, size := HopcroftKarp(adj, 3)
+	matchL, size := new(HopcroftKarp).Match(adj, 3)
 	if size != 3 {
 		t.Fatalf("size = %d, want 3", size)
 	}
@@ -68,7 +69,7 @@ func TestHopcroftKarpSmall(t *testing.T) {
 
 func TestHopcroftKarpNoEdges(t *testing.T) {
 	adj := [][]int{{}, {}, {}}
-	matchL, size := HopcroftKarp(adj, 4)
+	matchL, size := new(HopcroftKarp).Match(adj, 4)
 	if size != 0 {
 		t.Fatalf("size = %d, want 0", size)
 	}
@@ -80,7 +81,7 @@ func TestHopcroftKarpNoEdges(t *testing.T) {
 }
 
 func TestHopcroftKarpEmpty(t *testing.T) {
-	matchL, size := HopcroftKarp(nil, 0)
+	matchL, size := new(HopcroftKarp).Match(nil, 0)
 	if size != 0 || len(matchL) != 0 {
 		t.Fatal("empty graph should yield empty matching")
 	}
@@ -89,15 +90,19 @@ func TestHopcroftKarpEmpty(t *testing.T) {
 func TestHopcroftKarpContention(t *testing.T) {
 	// All left vertices want the single right vertex.
 	adj := [][]int{{0}, {0}, {0}}
-	matchL, size := HopcroftKarp(adj, 1)
+	matchL, size := new(HopcroftKarp).Match(adj, 1)
 	if size != 1 {
 		t.Fatalf("size = %d, want 1", size)
 	}
 	validMatching(t, adj, 1, matchL)
 }
 
+// TestHopcroftKarpMatchesBruteForce reuses one matcher across graphs of
+// varying shape, as placement does, and requires each matching to equal a
+// fresh matcher's.
 func TestHopcroftKarpMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
+	var h HopcroftKarp
 	for iter := 0; iter < 300; iter++ {
 		nL := 1 + r.Intn(7)
 		nR := 1 + r.Intn(7)
@@ -109,10 +114,14 @@ func TestHopcroftKarpMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		matchL, size := HopcroftKarp(adj, nR)
+		fresh, _ := new(HopcroftKarp).Match(adj, nR)
+		matchL, size := h.Match(adj, nR)
 		validMatching(t, adj, nR, matchL)
 		if want := bruteMaxMatching(adj, nR); size != want {
 			t.Fatalf("iter %d: size %d, brute force %d, adj=%v", iter, size, want, adj)
+		}
+		if !slices.Equal(matchL, fresh) {
+			t.Fatalf("iter %d: reused matcher gave %v, fresh %v", iter, matchL, fresh)
 		}
 	}
 }
@@ -126,7 +135,7 @@ func TestHopcroftKarpPerfectOnCompleteGraph(t *testing.T) {
 				adj[u] = append(adj[u], v)
 			}
 		}
-		_, size := HopcroftKarp(adj, n)
+		_, size := new(HopcroftKarp).Match(adj, n)
 		return size == n
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -299,9 +308,10 @@ func BenchmarkHopcroftKarp(b *testing.B) {
 			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HopcroftKarp(adj, n)
+	var h HopcroftKarp
+	b.ReportAllocs()
+	for b.Loop() {
+		h.Match(adj, n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"zac/internal/arch"
 	"zac/internal/circuit"
 	"zac/internal/cover"
+	"zac/internal/engine"
 	"zac/internal/geom"
 	"zac/internal/matching"
 )
@@ -54,7 +55,7 @@ func (sc *transitionScratch) reuseMatch(prev, next []circuit.Gate) []int {
 			sc.gateOf[q] = -1
 		}
 	}
-	matchL, _ := matching.HopcroftKarp(sc.adj, len(next))
+	matchL, _ := sc.hk.Match(sc.adj, len(next))
 	out := sc.reuseOf[:0]
 	for range next {
 		out = append(out, -1)
@@ -68,14 +69,25 @@ func (sc *transitionScratch) reuseMatch(prev, next []circuit.Gate) []int {
 	return out
 }
 
-// transitionScratch holds every reusable buffer of the stage-transition
-// solver: the JV solver with its scratch, dense site/trap column indexes
-// (reset through touched lists), the qubit-sized flag arrays that replaced
-// the per-solve reserved/stay/banned maps, and the CSR arc arrays fed to
-// the sparse JV solves. BuildPlan solves every candidate on one scratch; a
-// scratch must not be shared between concurrent solves.
+// transitionScratch holds every reusable buffer of one plan: the state of a
+// single annealing chain, the planner's position, home and occupancy
+// tables, the JV and Hopcroft–Karp solvers with their
+// scratch, dense site/trap column indexes (reset through touched lists), the
+// qubit-sized flag arrays that replaced the per-solve reserved/stay/banned
+// maps, and the CSR arc arrays fed to the sparse JV solves. A plan solves
+// every candidate on one scratch, which it takes from scratchFree and
+// returns there once the plan is built, so a steady stream of compiles
+// reuses a few scratches instead of growing one per compile. Nothing a plan
+// returns may point into its scratch. A scratch must not be shared between
+// concurrent plans.
 type transitionScratch struct {
 	solver matching.Solver
+	hk     matching.HopcroftKarp
+
+	sa   saState        // single-chain annealing; its occ becomes planner.occ
+	pos  []Pos          // planner.pos
+	home []arch.TrapRef // planner.home
+	occ  []int32        // planner.occ when the annealer left none
 
 	posView []Pos
 
@@ -128,25 +140,57 @@ type transitionScratch struct {
 	mpath      []int
 }
 
-// newTransitionScratch sizes a scratch for one architecture and qubit count.
-func newTransitionScratch(a *arch.Architecture, numQubits int) *transitionScratch {
-	return &transitionScratch{
-		reserved:  make([]bool, a.SiteCount()),
-		stay:      make([]bool, numQubits),
-		banned:    make([]bool, numQubits),
-		related:   make([]int32, numQubits),
-		gateOf:    slices.Repeat([]int32{-1}, numQubits),
-		siteCol:   slices.Repeat([]int32{-1}, a.SiteCount()),
-		trapCol:   slices.Repeat([]int32{-1}, a.TrapCount()),
-		slotTaken: make([]bool, a.MaxSiteSlots()),
-		moveAt:    slices.Repeat([]int32{-1}, a.SiteCount()*a.MaxSiteSlots()),
+// scratchFree holds the scratches of finished plans for the next ones.
+var scratchFree engine.FreeList[*transitionScratch]
+
+// getScratch takes a scratch from scratchFree, or a new one when it is
+// empty, and resets it for one architecture and qubit count.
+func getScratch(a *arch.Architecture, numQubits int) *transitionScratch {
+	sc, ok := scratchFree.Get()
+	if !ok {
+		return newTransitionScratch(a, numQubits)
 	}
+	sc.reset(a, numQubits)
+	return sc
 }
 
-// newOccupancy returns an empty dense storage-occupancy table (trap
-// ordinal → qubit, -1 = free).
-func newOccupancy(a *arch.Architecture) []int32 {
-	return slices.Repeat([]int32{-1}, a.TrapCount())
+// newTransitionScratch returns a fresh scratch for one architecture and
+// qubit count.
+func newTransitionScratch(a *arch.Architecture, numQubits int) *transitionScratch {
+	sc := new(transitionScratch)
+	sc.reset(a, numQubits)
+	return sc
+}
+
+// reset sizes every index and flag table for one architecture and qubit
+// count and re-initialises it, so a scratch another plan used, on another
+// architecture, reads exactly as a new one. The other buffers are emptied
+// before each use.
+func (sc *transitionScratch) reset(a *arch.Architecture, numQubits int) {
+	sc.pos = refill(sc.pos, numQubits, Pos{})
+	sc.reserved = refill(sc.reserved, a.SiteCount(), false)
+	sc.stay = refill(sc.stay, numQubits, false)
+	sc.banned = refill(sc.banned, numQubits, false)
+	sc.related = refill(sc.related, numQubits, -1)
+	sc.gateOf = refill(sc.gateOf, numQubits, -1)
+	sc.siteCol = refill(sc.siteCol, a.SiteCount(), -1)
+	sc.trapCol = refill(sc.trapCol, a.TrapCount(), -1)
+	sc.slotTaken = refill(sc.slotTaken, a.MaxSiteSlots(), false)
+	sc.moveAt = refill(sc.moveAt, a.SiteCount()*a.MaxSiteSlots(), -1)
+}
+
+// refill returns s resized to n elements, each v, reusing s's array when it
+// is large enough.
+func refill[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	} else {
+		s = s[:n]
+	}
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // appendCandidateSites appends the Ω_cand site set for a gate (paper §V-B2)

@@ -15,7 +15,7 @@ type BoundCheck struct {
 // evaluates noReuseBound there, as BuildPlan did.
 func ReplayNoReuseBounds(p *Plan, opts Options) ([]BoundCheck, error) {
 	opts.fill()
-	pl := newPlanner(p.Arch, p.NumQubits, opts, p.Initial, nil, nil)
+	pl := newPlanner(p.Arch, opts, p.Initial, nil, newTransitionScratch(p.Arch, p.NumQubits), nil)
 	ryd := p.Staged.RydbergStages()
 	var checks []BoundCheck
 	for t := range p.Steps {

@@ -31,9 +31,9 @@ type gateForCost struct {
 	weight float64 // w_g = max(0.1, 1 − 0.1(t−1)), t = Rydberg stage (1-based)
 }
 
-// collectWeightedGates extracts every CZ with its stage-decay weight (Eq. 2).
-func collectWeightedGates(s *circuit.Staged) []gateForCost {
-	var gates []gateForCost
+// collectWeightedGates appends every CZ with its stage-decay weight (Eq. 2)
+// to gates.
+func collectWeightedGates(gates []gateForCost, s *circuit.Staged) []gateForCost {
 	stage := 0
 	for _, st := range s.Stages {
 		if st.Kind != circuit.RydbergStage {
@@ -189,19 +189,22 @@ func (s *saState) swap(q, q2 int) {
 // by (cost, restart index) without recomputing the Eq. 2 objective. The degenerate cases (no
 // 2Q gates, or a non-positive iteration budget) report cost 0.
 func SAInitialWithCost(a *arch.Architecture, staged *circuit.Staged, iterations int, r *rand.Rand) ([]arch.TrapRef, float64, error) {
-	traps, _, cost, err := saInitial(a, staged, iterations, r)
+	traps, _, cost, err := saInitial(a, staged, iterations, r, new(saState))
 	return traps, cost, err
 }
 
 // saInitial is SAInitialWithCost plus the storage occupancy of the
 // returned placement (trap ordinal → qubit, -1 = free), which the planner
-// takes over. The occupancy is nil in the degenerate cases.
-func saInitial(a *arch.Architecture, staged *circuit.Staged, iterations int, r *rand.Rand) ([]arch.TrapRef, []int32, float64, error) {
+// takes over. The occupancy is nil in the degenerate cases. The annealing
+// state is built in st's buffers, which may be a previous run's: the
+// occupancy returned is st's, and the traps are the caller's.
+func saInitial(a *arch.Architecture, staged *circuit.Staged, iterations int, r *rand.Rand, st *saState) ([]arch.TrapRef, []int32, float64, error) {
 	base, err := TrivialInitial(a, staged.NumQubits)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	gates := collectWeightedGates(staged)
+	gates := collectWeightedGates(st.gates[:0], staged)
+	st.gates = gates
 	if len(gates) == 0 || iterations <= 0 {
 		return base, nil, 0, nil
 	}
@@ -215,24 +218,29 @@ func saInitial(a *arch.Architecture, staged *circuit.Staged, iterations int, r *
 	}
 	pool := all[:poolSize]
 
-	st := &saState{
-		a:      a,
-		gates:  gates,
-		trapOf: base,
-		pts:    make([]geom.Point, staged.NumQubits),
-		near:   make([]arch.SiteRef, staged.NumQubits),
-		occ:    newOccupancy(a),
-		costs:  make([]float64, len(gates)),
-	}
+	st.a, st.trapOf = a, base
+	st.pts = refill(st.pts, staged.NumQubits, geom.Point{})
+	st.near = refill(st.near, staged.NumQubits, arch.SiteRef{})
+	st.occ = refill(st.occ, a.TrapCount(), -1)
+	st.costs = refill(st.costs, len(gates), 0)
 	for q, t := range st.trapOf {
 		st.placeQubit(q, a.TrapOrdinal(t), t)
 	}
+	st.free = st.free[:0]
 	for _, t := range pool {
 		if st.occ[a.TrapOrdinal(t)] < 0 {
 			st.free = append(st.free, t)
 		}
 	}
-	st.gatesOf = make([][]int32, staged.NumQubits)
+	// Each qubit's gate list keeps the array an earlier run grew for it.
+	st.gatesOf = st.gatesOf[:cap(st.gatesOf)]
+	if n := staged.NumQubits - len(st.gatesOf); n > 0 {
+		st.gatesOf = append(st.gatesOf, make([][]int32, n)...)
+	}
+	st.gatesOf = st.gatesOf[:staged.NumQubits]
+	for q := range st.gatesOf {
+		st.gatesOf[q] = st.gatesOf[q][:0]
+	}
 	for gi, g := range gates {
 		st.gatesOf[g.q1] = append(st.gatesOf[g.q1], int32(gi))
 		if g.q2 != g.q1 {
@@ -240,5 +248,6 @@ func saInitial(a *arch.Architecture, staged *circuit.Staged, iterations int, r *
 		}
 	}
 	res := anneal.RunDelta(st, anneal.Options{Iterations: iterations}, r)
-	return st.trapOf, st.occ, res.BestCost, nil
+	st.trapOf = nil // the caller's from here on
+	return base, st.occ, res.BestCost, nil
 }

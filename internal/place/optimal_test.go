@@ -116,7 +116,7 @@ func TestReturnPlacementMatchesBruteForce(t *testing.T) {
 		{Zone: 0, SLM: 0, Row: 99, Col: 30},
 		{Zone: 0, SLM: 0, Row: 99, Col: 70},
 	}
-	occupied := newOccupancy(a)
+	occupied := slices.Repeat([]int32{-1}, a.TrapCount())
 	occupied[a.TrapOrdinal(home[2])] = 2
 	occupied[a.TrapOrdinal(home[3])] = 3
 	related := []int32{2, 3, -1, -1}
@@ -246,7 +246,7 @@ func randomTrap(r *rand.Rand, a *arch.Architecture) arch.TrapRef {
 
 // randomOccupancy marks about half of a's storage traps occupied.
 func randomOccupancy(r *rand.Rand, a *arch.Architecture) []int32 {
-	occ := newOccupancy(a)
+	occ := slices.Repeat([]int32{-1}, a.TrapCount())
 	for i := range occ {
 		if r.Intn(2) == 0 {
 			occ[i] = int32(r.Intn(64))

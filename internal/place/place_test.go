@@ -80,7 +80,7 @@ func TestTrivialInitialOverflow(t *testing.T) {
 func TestSAInitialImprovesOrEqual(t *testing.T) {
 	a := arch.Reference()
 	staged := mustStage(t, ghz(12))
-	gates := collectWeightedGates(staged)
+	gates := collectWeightedGates(nil, staged)
 
 	costOf := func(traps []arch.TrapRef) float64 {
 		total := 0.0
@@ -147,7 +147,7 @@ func TestGateCostEquation1(t *testing.T) {
 
 func TestWeightDecay(t *testing.T) {
 	staged := mustStage(t, ghz(5)) // 4 sequential CZ stages
-	gates := collectWeightedGates(staged)
+	gates := collectWeightedGates(nil, staged)
 	if len(gates) != 4 {
 		t.Fatalf("gates = %d", len(gates))
 	}
@@ -161,7 +161,7 @@ func TestWeightDecay(t *testing.T) {
 
 func TestWeightFloor(t *testing.T) {
 	staged := mustStage(t, ghz(15)) // 14 stages: weights floor at 0.1
-	gates := collectWeightedGates(staged)
+	gates := collectWeightedGates(nil, staged)
 	last := gates[len(gates)-1]
 	if last.weight != 0.1 {
 		t.Errorf("deep-stage weight = %v, want floor 0.1", last.weight)
@@ -236,7 +236,7 @@ func pairScanAdjacency(prev, next []circuit.Gate) [][]int {
 // pairScanReuseMatch is the reference reuse matching over
 // pairScanAdjacency.
 func pairScanReuseMatch(prev, next []circuit.Gate) []int {
-	matchL, _ := matching.HopcroftKarp(pairScanAdjacency(prev, next), len(next))
+	matchL, _ := new(matching.HopcroftKarp).Match(pairScanAdjacency(prev, next), len(next))
 	out := slices.Repeat([]int{-1}, len(next))
 	for i, j := range matchL {
 		if j >= 0 {
@@ -420,7 +420,7 @@ func TestCandidateTrapsIncludeAnchors(t *testing.T) {
 	// Qubit 0 sits at site (0,0); home trap (99, 5); no related qubit.
 	pos := []Pos{SitePos(arch.SiteRef{Zone: 0, Row: 0, Col: 0}, 0)}
 	home := []arch.TrapRef{{Zone: 0, SLM: 0, Row: 99, Col: 5}}
-	occupied := newOccupancy(a)
+	occupied := slices.Repeat([]int32{-1}, a.TrapCount())
 	cands := candidateTraps(a, 0, pos, home, nil, occupied, 2)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")

@@ -1,11 +1,12 @@
 package place
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"zac/internal/arch"
 	"zac/internal/circuit"
@@ -141,7 +142,8 @@ func (p *Plan) TotalReused() int {
 }
 
 // planner carries the evolving placement state. Storage occupancy is a
-// dense trap-ordinal table, and one scratch set serves every solve.
+// dense trap-ordinal table. Its position and home tables live in sc, the
+// transition scratch, which also serves every solve of the plan.
 type planner struct {
 	a    *arch.Architecture
 	opts Options
@@ -153,21 +155,25 @@ type planner struct {
 	cov  *cover.Set // nil unless the context carries a collector
 }
 
-// newPlanner starts placement state with every qubit at its initial trap.
+// newPlanner starts placement state with every qubit at its initial trap,
+// on a scratch sc that reset has sized for a and initial's qubit count.
 // occ is the occupancy of initial if the caller has it (the annealer
-// leaves one), which the planner then owns; nil builds it.
-func newPlanner(a *arch.Architecture, numQubits int, opts Options, initial []arch.TrapRef, occ []int32, cov *cover.Set) *planner {
+// leaves one), which the planner then owns; nil builds it in sc. The
+// planner copies initial, which stays the caller's.
+func newPlanner(a *arch.Architecture, opts Options, initial []arch.TrapRef, occ []int32, sc *transitionScratch, cov *cover.Set) *planner {
+	sc.home = append(sc.home[:0], initial...)
+	if occ == nil {
+		sc.occ = refill(sc.occ, a.TrapCount(), -1)
+		occ = sc.occ
+	}
 	pl := &planner{
 		a: a, opts: opts,
-		pos:  make([]Pos, numQubits),
-		home: append([]arch.TrapRef(nil), initial...),
+		pos:  sc.pos,
+		home: sc.home,
 		occ:  occ,
-		sc:   newTransitionScratch(a, numQubits),
+		sc:   sc,
 		gap:  storageSlotGap(a),
 		cov:  cov,
-	}
-	if occ == nil {
-		pl.occ = newOccupancy(a)
 	}
 	for q, t := range initial {
 		pl.pos[q] = StoragePos(t)
@@ -206,6 +212,7 @@ func StreamPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Stage
 	}
 
 	cov := cover.From(ctx)
+	sc := getScratch(a, staged.NumQubits)
 	var initial []arch.TrapRef
 	var occ []int32
 	var err error
@@ -213,7 +220,7 @@ func StreamPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Stage
 		cov.Hit("place:init:sa")
 		if opts.SARestarts <= 1 {
 			r := rand.New(rand.NewSource(opts.Seed))
-			initial, occ, _, err = saInitial(a, staged, opts.SAIterations, r)
+			initial, occ, _, err = saInitial(a, staged, opts.SAIterations, r, &sc.sa)
 		} else {
 			initial, occ, err = saRestarts(ctx, a, staged, opts, cov)
 		}
@@ -225,7 +232,7 @@ func StreamPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Stage
 		return nil, err
 	}
 
-	pl := newPlanner(a, staged.NumQubits, opts, initial, occ, cov)
+	pl := newPlanner(a, opts, initial, occ, sc, cov)
 	ryd := staged.RydbergStages()
 	plan := &Plan{Arch: a, Staged: staged, NumQubits: staged.NumQubits, Initial: initial,
 		Steps: make([]Step, 0, len(ryd))}
@@ -295,6 +302,10 @@ func StreamPlan(ctx context.Context, a *arch.Architecture, staged *circuit.Stage
 			final(plan, last)
 		}
 	}
+	// Only a finished plan returns its scratch. A failed one may have
+	// stopped mid-solve with index tables dirty, and reset on the next Get
+	// would then be the only guard.
+	scratchFree.Put(sc)
 	return plan, nil
 }
 
@@ -318,7 +329,7 @@ func saRestarts(ctx context.Context, a *arch.Architecture, staged *circuit.Stage
 	span.SetInt("workers", opts.Workers)
 	chains, err := engine.Map(ctx, opts.Workers, opts.SARestarts, func(i int) (saChain, error) {
 		r := rand.New(rand.NewSource(opts.Seed + int64(i)))
-		traps, occ, cost, err := saInitial(a, staged, opts.SAIterations, r)
+		traps, occ, cost, err := saInitial(a, staged, opts.SAIterations, r, new(saState))
 		return saChain{traps: traps, occ: occ, cost: cost}, err
 	})
 	if err != nil {
@@ -676,10 +687,10 @@ func assignSlots(a *arch.Architecture, qubits []int, pos []Pos, site arch.SiteRe
 			sc.pending = append(sc.pending, k)
 		}
 	}
-	// Order pending qubits by current x.
+	// Order pending qubits by current x, ties in index order.
 	pending := sc.pending
-	sort.Slice(pending, func(i, j int) bool {
-		return pos[qubits[pending[i]]].Point(a).X < pos[qubits[pending[j]]].Point(a).X
+	slices.SortStableFunc(pending, func(i, j int) int {
+		return cmp.Compare(pos[qubits[i]].Point(a).X, pos[qubits[j]].Point(a).X)
 	})
 	next := 0
 	for _, k := range pending {

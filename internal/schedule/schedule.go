@@ -27,6 +27,7 @@ import (
 
 	"zac/internal/arch"
 	"zac/internal/circuit"
+	"zac/internal/engine"
 	"zac/internal/fidelity"
 	"zac/internal/geom"
 	"zac/internal/graphalgo"
@@ -71,10 +72,21 @@ func Stream(ctx context.Context, a *arch.Architecture, staged *circuit.Staged, i
 	if len(a.AODs) == 0 {
 		return nil, fmt.Errorf("schedule: architecture has no AODs")
 	}
-	s := &scheduler{a: a, staged: staged}
-	return s.run(ctx, initial, steps)
+	sc, ok := scratchFree.Get()
+	if !ok {
+		sc = new(scratch)
+	}
+	s := &scheduler{a: a, staged: staged, scratch: sc}
+	res, err := s.run(ctx, initial, steps)
+	if err == nil {
+		sc.release()
+		scratchFree.Put(sc)
+	}
+	return res, err
 }
 
+// scheduler is one schedule in progress: the program it emits, its clock,
+// and the scratch it borrowed.
 type scheduler struct {
 	a      *arch.Architecture
 	staged *circuit.Staged
@@ -82,14 +94,42 @@ type scheduler struct {
 	prog  zair.Program
 	clock float64
 
-	// Scratch reused by every stage and movement phase of one schedule.
-	unitary map[[3]float64]int // 1Q stage: unitary → group ordinal
-	specs   []moveSpec
-	ms      []zair.MoveSpec
-	built   []builtJob
-	picks   []pickup
-	emitted []zair.RearrangeJob
-	zones   []int
+	*scratch
+}
+
+// scratch holds the buffers every stage and movement phase of a schedule
+// reuses. A schedule takes one from scratchFree and returns it when it
+// succeeds, so a steady stream of compiles reuses a few instead of growing
+// one per compile. Nothing in the program may point into it.
+type scratch struct {
+	// 1Q stage: unitary → group ordinal, the group keys in first-appearance
+	// order, group offsets, and each gate's group
+	unitary map[[3]float64]int
+	keys    [][3]float64
+	offsets []int
+	gidx    []int
+
+	specs    []moveSpec
+	conflict []uint64 // groupCompatible's bit matrix
+	part     graphalgo.Partitioner
+	ms       []zair.MoveSpec
+	built    []builtJob
+	picks    []pickup
+	avail    []float64 // per AOD: when it is next free
+	emitted  []zair.RearrangeJob
+	zones    []int
+}
+
+// scratchFree holds the scratches of finished schedules for the next ones.
+var scratchFree engine.FreeList[*scratch]
+
+// release drops the scratch's references into the finished program, so a
+// kept scratch does not keep its jobs alive.
+func (sc *scratch) release() {
+	clear(sc.emitted[:cap(sc.emitted)])
+	for i := range sc.built[:cap(sc.built)] {
+		sc.built[i].job = zair.RearrangeJob{}
+	}
 }
 
 func (s *scheduler) run(ctx context.Context, initial []arch.TrapRef, steps iter.Seq[*place.Step]) (*Result, error) {
@@ -98,6 +138,9 @@ func (s *scheduler) run(ctx context.Context, initial []arch.TrapRef, steps iter.
 
 	// Init instruction from the initial placement.
 	init := zair.Init{}
+	if len(initial) > 0 {
+		init.Locs = make([]zair.QLoc, 0, len(initial))
+	}
 	for q, t := range initial {
 		init.Locs = append(init.Locs, s.trapQLoc(q, t))
 	}
@@ -169,9 +212,9 @@ func (s *scheduler) emitOneQStage(st circuit.Stage) {
 		s.unitary = make(map[[3]float64]int, n)
 	}
 	clear(s.unitary)
-	var keys [][3]float64
-	offsets := []int{0}    // offsets[o+1] counts, then ends, group o
-	gidx := make([]int, n) // gate → group ordinal
+	keys := s.keys[:0]
+	offsets := append(s.offsets[:0], 0)    // offsets[o+1] counts, then ends, group o
+	gidx := slices.Grow(s.gidx[:0], n)[:n] // gate → group ordinal
 	for gi, g := range st.Gates {
 		k := [3]float64{g.Params[0], g.Params[1], g.Params[2]}
 		o, ok := s.unitary[k]
@@ -184,6 +227,7 @@ func (s *scheduler) emitOneQStage(st circuit.Stage) {
 		offsets[o+1]++
 		gidx[gi] = o
 	}
+	s.keys, s.offsets, s.gidx = keys, offsets, gidx
 	for o, sum := 1, 0; o < len(offsets); o++ {
 		offsets[o], sum = sum, sum+offsets[o]
 	}
@@ -247,7 +291,7 @@ func (s *scheduler) emitMovePhase(moves []place.Move) error {
 		})
 	}
 	s.specs = specs
-	err := s.emitJobsForGroups(specs, groupCompatible(specs))
+	err := s.emitJobsForGroups(specs, s.groupCompatible(specs))
 	if err == errCyclicJobs {
 		// Bundling created a job-level dependency cycle even though the
 		// move-level graph is acyclic (the placement guarantees that).
@@ -337,7 +381,8 @@ func (s *scheduler) emitJobsForGroups(specs []moveSpec, groups [][]int) error {
 	// Longest-job-first onto the earliest-available AOD (§VI), respecting
 	// trap dependencies: a job becomes eligible once its dependencies are
 	// placed, and starts no earlier than their completion.
-	avail := make([]float64, len(s.a.AODs))
+	avail := slices.Grow(s.avail[:0], len(s.a.AODs))[:len(s.a.AODs)]
+	s.avail = avail
 	for i := range avail {
 		avail[i] = s.clock
 	}
@@ -436,11 +481,14 @@ func axisCompatible(a0, b0, a1, b1 float64) bool {
 // conflict graph (paper §VI, following Enola's O(n² log n) approach). The
 // O(n²) compatibility scan fills the upper triangle of a conflict bit
 // matrix, one row per move; the lower triangle is then mirrored in place,
-// so the partition reads a symmetric matrix.
-func groupCompatible(specs []moveSpec) [][]int {
+// so the partition reads a symmetric matrix. The matrix and the groups are
+// the scratch's, and the groups are valid until the next call.
+func (sc *scratch) groupCompatible(specs []moveSpec) [][]int {
 	n := len(specs)
 	words := (n + 63) / 64
-	conflict := make([]uint64, n*words) // row i, bit j: i and j conflict
+	conflict := slices.Grow(sc.conflict[:0], n*words)[:n*words] // row i, bit j: i and j conflict
+	clear(conflict)
+	sc.conflict = conflict
 	for i := range specs {
 		row := conflict[i*words : (i+1)*words]
 		si := &specs[i]
@@ -460,7 +508,7 @@ func groupCompatible(specs []moveSpec) [][]int {
 			}
 		}
 	}
-	return graphalgo.PartitionIntoIndependentSets(n, conflict)
+	return sc.part.Partition(n, conflict)
 }
 
 // trapQLoc renders a storage trap as a ZAIR qloc.

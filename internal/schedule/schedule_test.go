@@ -183,7 +183,7 @@ func TestGroupCompatibleCoversAll(t *testing.T) {
 		{from: geom.Point{X: 5, Y: 0}, to: geom.Point{X: 2, Y: 10}},  // crosses 0
 		{from: geom.Point{X: 9, Y: 0}, to: geom.Point{X: 20, Y: 10}}, // compatible with 0
 	}
-	groups := groupCompatible(specs)
+	groups := new(scratch).groupCompatible(specs)
 	total := 0
 	for _, g := range groups {
 		total += len(g)
@@ -206,9 +206,12 @@ func TestGroupCompatibleCoversAll(t *testing.T) {
 // TestGroupCompatibleMatchesPairwise checks the conflict bit matrix across
 // word boundaries: the upper-triangle scan, with the lower triangle
 // mirrored in place, must give the groups of the plain pairwise matrix.
+// One scratch serves every size, growing and then shrinking, as one
+// schedule's movement phases reuse it.
 func TestGroupCompatibleMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	for _, n := range []int{1, 2, 63, 64, 65, 150} {
+	sc := new(scratch)
+	for _, n := range []int{1, 2, 63, 64, 65, 150, 65, 2} {
 		specs := make([]moveSpec, n)
 		for i := range specs {
 			specs[i].from = geom.Point{X: float64(r.Intn(30)), Y: float64(r.Intn(30))}
@@ -224,7 +227,7 @@ func TestGroupCompatibleMatchesPairwise(t *testing.T) {
 			}
 		}
 		want := graphalgo.PartitionIntoIndependentSets(n, conflict)
-		if got := groupCompatible(specs); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+		if got := sc.groupCompatible(specs); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
 			t.Fatalf("n=%d: groups %v, pairwise %v", n, got, want)
 		}
 	}

@@ -59,13 +59,22 @@ func checkGateBudget(family string, estimate int64) error {
 	return nil
 }
 
+// newCircuit returns an empty circuit with room for estimate gates, the
+// closed-form count checkGateBudget accepted, so appending them never
+// regrows the gate slice.
+func newCircuit(name string, numQubits int, estimate int64) *circuit.Circuit {
+	c := circuit.New(name, numQubits)
+	c.Gates = make([]circuit.Gate, 0, estimate)
+	return c
+}
+
 func (cliffordT) Generate(v Values) (*circuit.Circuit, error) {
 	n, gates, tpct := int(v["n"]), int(v["gates"]), int(v["t"])
 	if err := checkGateBudget("clifford", v["gates"]); err != nil {
 		return nil, err
 	}
 	r := NewRNG(v["seed"])
-	c := circuit.New("clifford", n)
+	c := newCircuit("clifford", n, v["gates"])
 	oneQ := []circuit.Kind{circuit.H, circuit.S, circuit.Sdg, circuit.X, circuit.Y, circuit.Z}
 	for i := 0; i < gates; i++ {
 		switch {
@@ -125,7 +134,8 @@ var rbInverse = map[circuit.Kind]circuit.Kind{
 
 func (rbMirror) Generate(v Values) (*circuit.Circuit, error) {
 	n, depth := int(v["n"]), int(v["depth"])
-	if err := checkGateBudget("rb", 2*v["depth"]*(v["n"]+v["n"]/2)); err != nil {
+	estimate := 2 * v["depth"] * (v["n"] + v["n"]/2)
+	if err := checkGateBudget("rb", estimate); err != nil {
 		return nil, err
 	}
 	r := NewRNG(v["seed"])
@@ -144,7 +154,7 @@ func (rbMirror) Generate(v Values) (*circuit.Circuit, error) {
 			layers[l].pairs = append(layers[l].pairs, [2]int{p[i], p[i+1]})
 		}
 	}
-	c := circuit.New("rb", n)
+	c := newCircuit("rb", n, estimate)
 	for _, l := range layers {
 		for q, k := range l.oneQ {
 			c.Append(k, []int{q})
@@ -187,11 +197,12 @@ func (shuffle) Params() []Param {
 
 func (shuffle) Generate(v Values) (*circuit.Circuit, error) {
 	n, depth := int(v["n"]), int(v["depth"])
-	if err := checkGateBudget("shuffle", v["depth"]*(v["n"]+v["n"]/2)); err != nil {
+	estimate := v["depth"] * (v["n"] + v["n"]/2)
+	if err := checkGateBudget("shuffle", estimate); err != nil {
 		return nil, err
 	}
 	r := NewRNG(v["seed"])
-	c := circuit.New("shuffle", n)
+	c := newCircuit("shuffle", n, estimate)
 	for l := 0; l < depth; l++ {
 		for q := 0; q < n; q++ {
 			c.Append(circuit.H, []int{q})
@@ -231,12 +242,13 @@ func (qaoa) Normalize(v Values) {
 
 func (qaoa) Generate(v Values) (*circuit.Circuit, error) {
 	n, p := int(v["n"]), int(v["p"])
-	if err := checkGateBudget("qaoa", int64(n)+v["p"]*int64(n+3*n/2)); err != nil {
+	estimate := int64(n) + v["p"]*int64(n+3*n/2)
+	if err := checkGateBudget("qaoa", estimate); err != nil {
 		return nil, err
 	}
 	r := NewRNG(v["seed"])
 	edges := random3Regular(n, r)
-	c := circuit.New("qaoa", n)
+	c := newCircuit("qaoa", n, estimate)
 	for q := 0; q < n; q++ {
 		c.Append(circuit.H, []int{q})
 	}
@@ -340,7 +352,8 @@ func (hiqp) Generate(v Values) (*circuit.Circuit, error) {
 	// One pass: (log2(blocks)+1) in-block layers of `blocks` U3s plus
 	// log2(blocks) CZ layers of blocks/2 gates.
 	perPass := (v["logblocks"]+1)*int64(blocks) + v["logblocks"]*int64(blocks)/2
-	if err := checkGateBudget("hiqp", v["rounds"]*perPass); err != nil {
+	estimate := v["rounds"] * perPass
+	if err := checkGateBudget("hiqp", estimate); err != nil {
 		return nil, err
 	}
 	spec := ftqc.HIQPSpec{NumBlocks: blocks}
@@ -349,7 +362,7 @@ func (hiqp) Generate(v Values) (*circuit.Circuit, error) {
 		return nil, err
 	}
 	pass := staged.Flatten()
-	c := circuit.New("hiqp", blocks)
+	c := newCircuit("hiqp", blocks, estimate)
 	for round := 0; round < rounds; round++ {
 		c.Gates = append(c.Gates, pass.Clone().Gates...)
 	}

@@ -35,8 +35,9 @@ func (t JobTiming) Total() float64 { return t.PickupDur + t.MoveDur + t.DropDur 
 // transferTime is the atom-transfer duration Ttran; moveTime converts a
 // distance to a movement duration (architecture-specific).
 //
-// The rows are cut from one copy of the moves sorted by begin (y, x), and
-// every slice of the job is a window of a few arrays sized from the move
+// BuildJob sorts moves in place by begin (y, x), so the caller must own
+// them, and cuts the rows from that order. The job shares no memory with
+// moves: every slice of it is a window of a few arrays sized from the move
 // and row counts.
 func BuildJob(aodID int, moves []MoveSpec, transferTime float64, moveTime func(d float64) float64) (RearrangeJob, JobTiming) {
 	if len(moves) == 0 {
@@ -44,7 +45,7 @@ func BuildJob(aodID int, moves []MoveSpec, transferTime float64, moveTime func(d
 	}
 	// Rows ordered bottom-up; within a row order by x so AOD columns keep
 	// their relative order.
-	sorted := slices.Clone(moves)
+	sorted := moves
 	slices.SortStableFunc(sorted, func(a, b MoveSpec) int {
 		if c := cmp.Compare(a.From.Y, b.From.Y); c != 0 {
 			return c

@@ -1,6 +1,7 @@
 package zair
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -225,6 +226,35 @@ func TestBuildJobMultiRowPickup(t *testing.T) {
 	}
 	if job.NumMoved() != 3 {
 		t.Errorf("moved = %d", job.NumMoved())
+	}
+}
+
+// TestBuildJobSortsInPlaceOwnsNothing checks BuildJob's contract with a
+// caller that reuses its move buffer: the moves come back sorted by begin
+// (y, x), and overwriting them afterwards leaves the job unchanged.
+func TestBuildJobSortsInPlaceOwnsNothing(t *testing.T) {
+	moves := []MoveSpec{
+		{Qubit: 2, Begin: QLoc{2, 0, 1, 2}, From: geom.Point{X: 6, Y: 3}, To: geom.Point{X: 16, Y: 53}},
+		{Qubit: 0, Begin: QLoc{0, 0, 0, 0}, From: geom.Point{X: 0, Y: 0}, To: geom.Point{X: 10, Y: 50}},
+		{Qubit: 1, Begin: QLoc{1, 0, 1, 1}, From: geom.Point{X: 3, Y: 3}, To: geom.Point{X: 13, Y: 53}},
+	}
+	job, _ := BuildJob(0, moves, 15, geom.MoveTime)
+	for i, m := range moves {
+		if m.Qubit != i {
+			t.Fatalf("moves[%d] is qubit %d after BuildJob, want sorted by begin (y, x)", i, m.Qubit)
+		}
+	}
+	before, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(moves)
+	after, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("job changed when its moves were overwritten:\n%s\n%s", before, after)
 	}
 }
 
